@@ -7,71 +7,4 @@ index (h-alpha) of agents with low versus high initial h diverges under
 different collaboration and citation regimes.
 """
 
-from .analysis import ExperimentResult, GroupSplit, aggregate, export_csv, split_groups
-from .distributions import (
-    AgingCurve,
-    CountDistribution,
-    CountKind,
-    expected_citations,
-    sample_citations_for_age,
-    sample_count,
-)
-from .engine import (
-    PeriodMetrics,
-    RunResult,
-    SimulationConfig,
-    SimulationState,
-    cite_papers,
-    form_teams,
-    init_state,
-    publish,
-    run_experiment,
-    select_collaborators,
-    step_period,
-)
-from .errors import ConfigurationError, DataError
-from .model import (
-    EXTERNAL_AUTHOR,
-    Agent,
-    Paper,
-    determine_alpha_author,
-    h_alpha,
-    h_core,
-    h_index,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Agent",
-    "AgingCurve",
-    "ConfigurationError",
-    "CountDistribution",
-    "CountKind",
-    "DataError",
-    "EXTERNAL_AUTHOR",
-    "ExperimentResult",
-    "GroupSplit",
-    "Paper",
-    "PeriodMetrics",
-    "RunResult",
-    "SimulationConfig",
-    "SimulationState",
-    "aggregate",
-    "cite_papers",
-    "determine_alpha_author",
-    "expected_citations",
-    "export_csv",
-    "form_teams",
-    "h_alpha",
-    "h_core",
-    "h_index",
-    "init_state",
-    "publish",
-    "run_experiment",
-    "sample_citations_for_age",
-    "sample_count",
-    "select_collaborators",
-    "split_groups",
-    "step_period",
-]

@@ -1,48 +1,126 @@
 """Command-line front end: scenario presets, flags, and result files.
 
-Resolution order for every parameter: scenario preset defaults, then values
-from an optional JSON config file, then command-line flags. The fully
-resolved configuration is echoed next to the results so any run can be
-reproduced exactly.
+Every parameter is declared once, as a row of ``PARAMETERS``; its flag, its
+JSON config key and type check, its line in the config echo and its
+SimulationConfig field all come from that row. Resolution order for every
+parameter: scenario preset defaults, then values from an optional JSON config
+file, then command-line flags. The fully resolved configuration is echoed
+next to the results so any run can be reproduced exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from .analysis import _fmt, aggregate, export_csv, split_groups
-from .distributions import AgingCurve, CountDistribution, CountKind
+from .distributions import AgingCurve, CountKind
 from .engine import SimulationConfig, run_experiment
 from .errors import ConfigurationError, DataError
 
-_BASELINE: dict = {
-    "runs": 50,
-    "agents": 200,
-    "periods": 20,
-    "coauthors": 3,
-    "papers_dist": "poisson",
-    "papers_mean": 10.0,
-    "papers_dispersion": None,
-    "citations_dist": "poisson",
-    "citations_mean": 5.0,
-    "citations_peak": 3.0,
-    "citations_speed": 2.0,
-    "citations_dispersion": None,
-    "alpha_share": 0.33,
-    "boost_size": 0.0,
-    "diligence_corr": 0.0,
-    "diligence_share": 1.0,
-    "strategic": False,
-    "self_citations": False,
-    "update_alpha": False,
-}
 
-# Scenario presets: the baseline population plus exactly one mechanism each.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _finite_float(text: str) -> float:
+    """Flag type of float parameters: any finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How a parameter type is read from a flag and checked in a JSON file."""
+
+    description: str  # what a JSON value must be, for the usage error
+    accepts: Callable[[object], bool]  # JSON values are checked, never coerced
+    flag: dict  # argparse keyword arguments
+    to_engine: Callable[[object], object] = lambda value: value
+
+
+_DISTS = [k.value for k in CountKind]
+INT = Kind("an integer", _is_int, {"type": int})
+FLOAT = Kind("a finite number", _is_finite, {"type": _finite_float})
+DISPERSION = Kind(
+    "a finite number or null", lambda v: v is None or _is_finite(v), {"type": _finite_float}
+)
+DIST = Kind(
+    " or ".join(map(json.dumps, _DISTS)), lambda v: v in _DISTS, {"choices": _DISTS}, CountKind
+)
+SWITCH = Kind(
+    "true or false", lambda v: isinstance(v, bool), {"action": "store_true", "default": None}
+)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One simulation parameter: its flag, JSON key and echo line are all ``name``
+    (with dashes in the flag); ``field`` names where SimulationConfig keeps it,
+    ``aging.<attr>`` for the citation aging curve."""
+
+    name: str
+    kind: Kind
+    default: object
+    field: str
+    help: str
+
+
+PARAMETERS = (
+    Param("runs", INT, 50, "runs", "number of independent runs to average over"),
+    Param("agents", INT, 200, "n_agents", "number of simulated agents"),
+    Param("periods", INT, 20, "periods", "number of collaboration periods"),
+    Param("coauthors", INT, 3, "coauthors_mean",
+          "team size (last team per period may be smaller)"),
+    Param("papers_dist", DIST, "poisson", "paper_kind", "distribution of initial paper counts"),
+    Param("papers_mean", FLOAT, 10.0, "paper_mean",
+          "mean of the initial paper count distribution"),
+    Param("papers_dispersion", DISPERSION, None, "paper_dispersion",
+          "dispersion of the initial paper count distribution (nbinomial only)"),
+    Param("citations_dist", DIST, "poisson", "citation_kind",
+          "distribution of per-period citation counts"),
+    Param("citations_mean", FLOAT, 5.0, "aging.max_mean",
+          "maximum expected citations per period"),
+    Param("citations_peak", FLOAT, 3.0, "aging.peak_period",
+          "paper age (in periods) at which expected citations peak"),
+    Param("citations_speed", FLOAT, 2.0, "aging.speed",
+          "steepness of the citation aging curve (must exceed 1)"),
+    Param("citations_dispersion", DISPERSION, None, "citation_dispersion",
+          "dispersion of the citation count distribution (nbinomial only)"),
+    Param("alpha_share", FLOAT, 0.33, "alpha_share",
+          "share of initial papers credited to their own agent"),
+    Param("boost_size", FLOAT, 0.0, "boost_size",
+          "one-time extra citations = round(max author h at publication * size); 0 disables"),
+    Param("diligence_corr", FLOAT, 0.0, "diligence_correlation",
+          "correlation between publishing propensity and initial h"),
+    Param("diligence_share", FLOAT, 1.0, "collab_share",
+          "share of agents who publish each period"),
+    Param("strategic", SWITCH, False, "strategic", "seed every team with a single top-h agent"),
+    Param("self_citations", SWITCH, False, "self_citation",
+          "one extra citation when an author's h exceeds a paper's citations by 1 or 2"),
+    Param("update_alpha", SWITCH, False, "dynamic_alpha",
+          "re-credit every paper to its currently highest-h author each period"),
+)
+
+# Scenario presets: the baseline population (the table's defaults) plus the
+# parameters of one mechanism; diligence needs two, the share of agents who
+# publish and how strongly that selection tracks initial h.
 PRESETS: dict[str, dict] = {
     "baseline": {},
     "boost": {"boost_size": 0.5},
@@ -51,62 +129,32 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset_values(name: str) -> dict:
-    """Full parameter dict for a scenario preset."""
-    if name not in PRESETS:
-        raise ConfigurationError(f"unknown scenario {name!r}; choose from {sorted(PRESETS)}")
-    return {**_BASELINE, **PRESETS[name]}
-
-
-def _opt_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
-def config_from_values(values: dict, master_seed: int) -> SimulationConfig:
-    """Build an engine config from a resolved flat parameter dict."""
-    try:
-        paper_dist = CountDistribution(
-            CountKind(values["papers_dist"]),
-            float(values["papers_mean"]),
-            _opt_float(values["papers_dispersion"]),
-        )
-        aging = AgingCurve(
-            peak_period=float(values["citations_peak"]),
-            max_mean=float(values["citations_mean"]),
-            speed=float(values["citations_speed"]),
-        )
-        return SimulationConfig(
-            runs=int(values["runs"]),
-            n_agents=int(values["agents"]),
-            periods=int(values["periods"]),
-            coauthors_mean=int(values["coauthors"]),
-            paper_dist=paper_dist,
-            citation_kind=CountKind(values["citations_dist"]),
-            aging=aging,
-            alpha_share=float(values["alpha_share"]),
-            master_seed=int(master_seed),
-            citation_dispersion=_opt_float(values["citations_dispersion"]),
-            collab_share=float(values["diligence_share"]),
-            diligence_correlation=float(values["diligence_corr"]),
-            strategic=bool(values["strategic"]),
-            self_citation=bool(values["self_citations"]),
-            boost_size=float(values["boost_size"]),
-            dynamic_alpha=bool(values["update_alpha"]),
-        )
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(str(exc)) from exc
-
-
 def scenario_config(name: str, master_seed: int, **overrides) -> SimulationConfig:
-    """Engine config for a named scenario, with optional parameter overrides."""
-    values = preset_values(name)
-    unknown = set(overrides) - set(values)
+    """Engine config for a named scenario, with optional parameter overrides.
+
+    Every value must be of its parameter's kind (an integer for ``runs``, a
+    finite number for ``alpha_share``, ...); SimulationConfig checks ranges.
+    """
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ConfigurationError(f"unknown scenario {name!r}; choose from {sorted(PRESETS)}")
+    unknown = set(overrides) - {p.name for p in PARAMETERS}
     if unknown:
         raise ConfigurationError(f"unknown parameters: {sorted(unknown)}")
-    values.update(overrides)
-    return config_from_values(values, master_seed)
+    if not _is_int(master_seed):
+        raise ConfigurationError(f"seed must be an integer, got {master_seed!r}")
+    values = {**PRESETS[name], **overrides}
+    fields, aging = {"master_seed": master_seed}, {}
+    for p in PARAMETERS:
+        value = values.get(p.name, p.default)
+        if not p.kind.accepts(value):
+            raise ConfigurationError(f"{p.name} must be {p.kind.description}, got {value!r}")
+        group, _, attr = p.field.rpartition(".")
+        (aging if group else fields)[attr] = p.kind.to_engine(value)
+    return SimulationConfig(aging=AgingCurve(**aging), **fields)
+
+
+# Keys of a JSON config file, and the flags that override them.
+_KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
 
 
 @dataclass(frozen=True)
@@ -114,8 +162,6 @@ class CliOptions:
     """Resolved non-engine options of one invocation."""
 
     scenario: str
-    values: dict
-    seed: int
     seed_generated: bool
     out: Path
     per_run: bool
@@ -134,37 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario preset supplying defaults (default: baseline)")
     add("--config", type=Path, default=None, metavar="FILE",
         help="JSON file with parameter overrides (flags win over the file)")
-    add("--runs", type=int, help="number of independent runs to average over")
-    add("--agents", type=int, help="number of simulated agents")
-    add("--periods", type=int, help="number of collaboration periods")
-    add("--coauthors", type=int, help="team size (last team per period may be smaller)")
-    add("--papers-dist", choices=[k.value for k in CountKind],
-        help="distribution of initial paper counts")
-    add("--papers-mean", type=float, help="mean of the initial paper count distribution")
-    add("--papers-dispersion", type=float,
-        help="dispersion of the initial paper count distribution (nbinomial only)")
-    add("--citations-dist", choices=[k.value for k in CountKind],
-        help="distribution of per-period citation counts")
-    add("--citations-mean", type=float, help="maximum expected citations per period")
-    add("--citations-peak", type=float,
-        help="paper age (in periods) at which expected citations peak")
-    add("--citations-speed", type=float,
-        help="steepness of the citation aging curve (must exceed 1)")
-    add("--citations-dispersion", type=float,
-        help="dispersion of the citation count distribution (nbinomial only)")
-    add("--alpha-share", type=float,
-        help="share of initial papers credited to their own agent")
-    add("--boost-size", type=float,
-        help="one-time extra citations = round(max author h at publication * size); 0 disables")
-    add("--diligence-corr", type=float,
-        help="correlation between publishing propensity and initial h")
-    add("--diligence-share", type=float, help="share of agents who publish each period")
-    add("--strategic", action="store_true", default=None,
-        help="seed every team with a single top-h agent")
-    add("--self-citations", action="store_true", default=None,
-        help="one extra citation when an author's h exceeds a paper's citations by 1 or 2")
-    add("--update-alpha", action="store_true", default=None,
-        help="re-credit every paper to its currently highest-h author each period")
+    for p in PARAMETERS:
+        add("--" + p.name.replace("_", "-"), help=p.help, **p.kind.flag)
     add("--seed", type=int, help="master seed (drawn from system entropy if omitted)")
     add("--out", type=Path, help="path of the aggregated CSV (required)")
     add("--per-run", action="store_true", default=None,
@@ -181,7 +198,7 @@ def _load_config_file(parser: argparse.ArgumentParser, path: Path) -> dict:
         parser.error(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - set(_BASELINE) - {"scenario", "seed"}
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         parser.error(f"unknown config file keys: {sorted(unknown)}")
     return raw
@@ -190,44 +207,26 @@ def _load_config_file(parser: argparse.ArgumentParser, path: Path) -> dict:
 def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
     """Resolve flags, config file, and preset into an engine config.
 
-    Exits with status 2 (via argparse) on unknown flags, out-of-range values,
-    or a missing output path.
+    Exits with status 2 (via argparse) on unknown flags or config file keys,
+    mistyped or out-of-range values, or a missing output path.
     """
     parser = build_parser()
     ns = parser.parse_args(argv)
-
-    file_values = _load_config_file(parser, ns.config) if ns.config is not None else {}
-
-    scenario = ns.scenario or file_values.get("scenario") or "baseline"
-    if scenario not in PRESETS:
-        parser.error(f"unknown scenario {scenario!r}; choose from {sorted(PRESETS)}")
-
-    values = preset_values(scenario)
-    values.update({k: v for k, v in file_values.items() if k not in ("scenario", "seed")})
-    values.update(
-        {k: getattr(ns, k) for k in _BASELINE if getattr(ns, k, None) is not None}
-    )
-
-    seed = ns.seed if ns.seed is not None else file_values.get("seed")
-    seed_generated = seed is None
-    if seed_generated:
-        seed = secrets.randbits(63)
-
+    values = _load_config_file(parser, ns.config) if ns.config is not None else {}
     if ns.out is None:
         parser.error("--out is required")
 
+    values.update({k: getattr(ns, k) for k in _KEYS if getattr(ns, k) is not None})
+    scenario = values.pop("scenario", "baseline")
+    seed_generated = "seed" not in values
+    seed = secrets.randbits(63) if seed_generated else values.pop("seed")
+
     try:
-        config = config_from_values(values, int(seed))
+        config = scenario_config(scenario, seed, **values)
     except ConfigurationError as exc:
         parser.error(str(exc))
-
     options = CliOptions(
-        scenario=scenario,
-        values=values,
-        seed=int(seed),
-        seed_generated=seed_generated,
-        out=ns.out,
-        per_run=bool(ns.per_run),
+        scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run)
     )
     return config, options
 
@@ -242,10 +241,10 @@ def config_echo_path(out: Path) -> Path:
     return Path(str(out) + ".config")
 
 
-def _render_echo(options: CliOptions) -> str:
+def _render_echo(config: SimulationConfig, options: CliOptions) -> str:
     lines = [f"scenario = {json.dumps(options.scenario)}"]
-    lines += [f"{key} = {json.dumps(options.values[key])}" for key in _BASELINE]
-    lines.append(f"seed = {options.seed}")
+    lines += [f"{p.name} = {json.dumps(attrgetter(p.field)(config))}" for p in PARAMETERS]
+    lines.append(f"seed = {config.master_seed}")
     lines.append(f"out = {json.dumps(str(options.out))}")
     lines.append(f"per_run = {json.dumps(options.per_run)}")
     return "\n".join(lines) + "\n"
@@ -265,15 +264,15 @@ def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
         options.out.write_bytes(export_csv(result))
         if options.per_run:
             per_run_path(options.out).write_bytes(export_csv(result, per_run=True))
-        config_echo_path(options.out).write_text(_render_echo(options), encoding="utf-8")
+        config_echo_path(options.out).write_text(_render_echo(config, options), encoding="utf-8")
     except OSError as exc:
         target = getattr(exc, "filename", None) or options.out
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 1
 
     if options.seed_generated:
-        print(f"master seed drawn from system entropy: {options.seed} "
-              f"(pass --seed {options.seed} to reproduce)")
+        seed = config.master_seed
+        print(f"master seed drawn from system entropy: {seed} (pass --seed {seed} to reproduce)")
     for t, period in enumerate(result.periods):
         print(f"period={period} group=low mean_h_alpha={_fmt(result.mean_h_alpha_low[t])}")
         print(f"period={period} group=high mean_h_alpha={_fmt(result.mean_h_alpha_high[t])}")

@@ -25,6 +25,8 @@ class CountKind(str, Enum):
 
 
 def _validate_count_params(kind: CountKind, mean: float, dispersion: float | None) -> None:
+    """Reject a negative mean, or a negative binomial without a positive
+    dispersion (its size parameter: Var = mean + mean**2 / dispersion)."""
     if mean < 0:
         raise ConfigurationError(f"count mean must be nonnegative, got {mean}")
     if kind is CountKind.NBINOMIAL:
@@ -32,22 +34,6 @@ def _validate_count_params(kind: CountKind, mean: float, dispersion: float | Non
             raise ConfigurationError(
                 f"negative binomial requires a positive dispersion, got {dispersion}"
             )
-
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """A nonnegative-integer count distribution with mean-based parameters.
-
-    For the negative binomial, ``dispersion`` is the size parameter of the
-    mean/dispersion form: Var = mean + mean**2 / dispersion.
-    """
-
-    kind: CountKind
-    mean: float
-    dispersion: float | None = None
-
-    def __post_init__(self) -> None:
-        _validate_count_params(self.kind, self.mean, self.dispersion)
 
 
 def draw_counts(
@@ -70,11 +56,6 @@ def draw_counts(
     _validate_count_params(kind, 0.0, dispersion)
     k = float(dispersion)  # type: ignore[arg-type]
     return rng.negative_binomial(k, k / (k + means), size=size)
-
-
-def sample_count(dist: CountDistribution, rng: np.random.Generator) -> int:
-    """Draw a single count from ``dist``."""
-    return int(draw_counts(dist.kind, dist.mean, rng, dist.dispersion))
 
 
 @dataclass(frozen=True)
@@ -107,7 +88,7 @@ class AgingCurve:
         return self.peak_period * ((b + 1.0) / (b - 1.0)) ** (1.0 / b)
 
 
-def log_logistic_density(t: float, scale: float, shape: float) -> float:
+def _log_logistic_density(t: float, scale: float, shape: float) -> float:
     """Log-logistic pdf (beta/alpha) (t/alpha)^(beta-1) / (1 + (t/alpha)^beta)^2."""
     x = t / scale
     return (shape / scale) * x ** (shape - 1.0) / (1.0 + x**shape) ** 2
@@ -122,18 +103,7 @@ def expected_citations(age: float, curve: AgingCurve) -> float:
     if age < 1:
         raise ValueError(f"paper age must be at least 1 period, got {age}")
     a, b = curve.scale, curve.speed
-    return curve.max_mean * log_logistic_density(age, a, b) / log_logistic_density(
+    return curve.max_mean * _log_logistic_density(age, a, b) / _log_logistic_density(
         curve.peak_period, a, b
     )
 
-
-def sample_citations_for_age(
-    age: float,
-    curve: AgingCurve,
-    kind: CountKind,
-    rng: np.random.Generator,
-    dispersion: float | None = None,
-) -> int:
-    """Draw one citation count for a paper of the given age."""
-    mean = expected_citations(age, curve)
-    return int(draw_counts(kind, mean, rng, dispersion))

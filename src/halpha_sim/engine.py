@@ -28,16 +28,14 @@ from scipy.stats import rankdata
 
 from .distributions import (
     AgingCurve,
-    CountDistribution,
     CountKind,
     _validate_count_params,
     draw_counts,
     expected_citations,
 )
 from .errors import ConfigurationError
-from .model import EXTERNAL_AUTHOR, Agent, Paper
+from .model import EXTERNAL_AUTHOR
 
-_SEED_MASK = (1 << 64) - 1
 _NEG_KEY = np.iinfo(np.int64).min // 2
 
 # Pre-simulation papers are one to five periods old at initialization.
@@ -57,11 +55,13 @@ class SimulationConfig:
     n_agents: int
     periods: int
     coauthors_mean: int
-    paper_dist: CountDistribution
+    paper_kind: CountKind
+    paper_mean: float
     citation_kind: CountKind
     aging: AgingCurve
     alpha_share: float
     master_seed: int
+    paper_dispersion: float | None = None
     citation_dispersion: float | None = None
     collab_share: float = 1.0
     diligence_correlation: float = 0.0
@@ -84,8 +84,10 @@ class SimulationConfig:
             )
         if self.boost_size < 0:
             raise ConfigurationError(f"boost_size must be nonnegative, got {self.boost_size}")
-        if self.citation_kind is CountKind.NBINOMIAL:
-            _validate_count_params(self.citation_kind, 0.0, self.citation_dispersion)
+        _validate_count_params(self.paper_kind, self.paper_mean, self.paper_dispersion)
+        _validate_count_params(self.citation_kind, 0.0, self.citation_dispersion)
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigurationError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.diligence_correlation > 0 and self.collab_share >= 1.0:
             warnings.warn(
                 "diligence_correlation has no effect when collab_share is 1 "
@@ -141,37 +143,6 @@ class SimulationState:
     citation_means: np.ndarray  # expected citations indexed by age
     diligence_z: np.ndarray | None = None
 
-    @property
-    def papers(self) -> list[Paper]:
-        """Materialized per-paper records (inspection and tests, not the hot path)."""
-        out = []
-        for pid in range(self.n_papers):
-            row = self.authors[pid]
-            out.append(
-                Paper(
-                    id=pid,
-                    author_ids=[int(a) for a in row[row >= 0]],
-                    alpha_author_id=int(self.alpha_author[pid]),
-                    published_period=int(self.published_period[pid]),
-                    citations=int(self.citations[pid]),
-                )
-            )
-        return out
-
-    @property
-    def agents(self) -> list[Agent]:
-        """Materialized per-agent records (inspection and tests, not the hot path)."""
-        return [
-            Agent(
-                id=i,
-                paper_ids=[int(p) for p in self.agent_papers[i, : self.agent_paper_counts[i]]],
-                initial_h=int(self.initial_h[i]),
-                current_h=int(self.current_h[i]),
-                current_h_alpha=int(self.current_h_alpha[i]),
-            )
-            for i in range(self.n_agents)
-        ]
-
 
 def rank_normal_scores(values) -> np.ndarray:
     """Map values to standard-normal scores by rank (ties share the average rank)."""
@@ -182,7 +153,7 @@ def rank_normal_scores(values) -> np.ndarray:
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """Generator for one run, derived solely from (master_seed, run_index)."""
-    seq = np.random.SeedSequence(entropy=master_seed & _SEED_MASK, spawn_key=(run_index,))
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
     return np.random.default_rng(seq)
 
 
@@ -212,7 +183,7 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
     means[1:] = [expected_citations(a, config.aging) for a in range(1, max_age + 1)]
 
     paper_counts = draw_counts(
-        config.paper_dist.kind, config.paper_dist.mean, rng, config.paper_dist.dispersion, size=n
+        config.paper_kind, config.paper_mean, rng, config.paper_dispersion, size=n
     ).astype(np.int64)
     total_initial = int(paper_counts.sum())
 

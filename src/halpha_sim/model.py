@@ -1,4 +1,4 @@
-"""Core bibliometric model: agents, papers, and the h / h-core / h-alpha math.
+"""Core bibliometric model: the h / h-core / h-alpha math on plain values.
 
 All functions here are pure and operate on plain values, so they double as
 the reference definitions that the array-based engine is checked against.
@@ -6,34 +6,11 @@ the reference definitions that the array-based engine is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 # Alpha-author id used for pre-simulation papers whose credited author is a
 # collaborator outside the simulated population.
 EXTERNAL_AUTHOR = -1
-
-
-@dataclass
-class Paper:
-    """One publication: authors, credited (alpha) author, age, citations."""
-
-    id: int
-    author_ids: list[int]
-    alpha_author_id: int
-    published_period: int
-    citations: int = 0
-
-
-@dataclass
-class Agent:
-    """One simulated scientist with frozen initial h and evolving indices."""
-
-    id: int
-    paper_ids: list[int] = field(default_factory=list)
-    initial_h: int = 0
-    current_h: int = 0
-    current_h_alpha: int = 0
 
 
 def h_index(citation_counts: Iterable[int]) -> int:

@@ -210,7 +210,7 @@ def test_criterion_3_boost_beats_baseline(experiments):
     report(3, "boost final gap > baseline final gap", passes >= 18, f"{passes}/20 seeds")
 
 
-def test_criterion_4_diligence_beats_boost(experiments):
+def test_criterion_4_diligence_beats_participation_control(experiments):
     # The preset publishes 40% fewer papers than boost or baseline, so its
     # absolute gap sits below both; the control shares its volume and differs
     # only in diligence_corr, which isolates the mechanism the preset adds.

@@ -1,15 +1,19 @@
 """Preset expansion, flag handling, exit codes, and output files."""
 
 import json
+import re
+from copy import deepcopy
+from pathlib import Path
 
 import pytest
 
 from halpha_sim.cli import (
+    PRESETS,
+    build_parser,
     config_echo_path,
     main,
     parse_config,
     per_run_path,
-    preset_values,
     scenario_config,
 )
 from halpha_sim.distributions import CountKind
@@ -24,8 +28,9 @@ def test_baseline_preset_values():
     assert cfg.n_agents == 200
     assert cfg.periods == 20
     assert cfg.coauthors_mean == 3
-    assert cfg.paper_dist.kind is CountKind.POISSON
-    assert cfg.paper_dist.mean == 10.0
+    assert cfg.paper_kind is CountKind.POISSON
+    assert cfg.paper_mean == 10.0
+    assert cfg.paper_dispersion is None and cfg.citation_dispersion is None
     assert cfg.citation_kind is CountKind.POISSON
     assert cfg.aging.max_mean == 5.0
     assert cfg.aging.peak_period == 3.0
@@ -35,7 +40,7 @@ def test_baseline_preset_values():
     assert not cfg.strategic and not cfg.self_citation and not cfg.dynamic_alpha
 
 
-def test_variant_presets_change_one_knob():
+def test_variant_presets_set_their_parameters():
     assert scenario_config("boost", master_seed=1).boost_size == 0.5
     diligence = scenario_config("diligence", master_seed=1)
     assert diligence.diligence_correlation == 0.8
@@ -44,10 +49,12 @@ def test_variant_presets_change_one_knob():
 
 
 def test_preset_expansion_is_pure():
-    assert preset_values("boost") == preset_values("boost")
-    assert scenario_config("baseline", master_seed=5) == scenario_config(
-        "baseline", master_seed=5
+    presets = deepcopy(PRESETS)
+    assert scenario_config("boost", master_seed=5, runs=3) == scenario_config(
+        "boost", master_seed=5, runs=3
     )
+    assert scenario_config("boost", master_seed=5).runs == 50
+    assert PRESETS == presets
 
 
 def test_scenario_config_rejects_unknown():
@@ -91,12 +98,17 @@ def test_unknown_flag_is_usage_error():
         ["--runs", "0"],
         ["--diligence-share", "0"],
         ["--citations-dist", "nbinomial"],  # no dispersion given
+        ["--citations-mean", "nan"],
+        ["--boost-size", "inf"],
+        ["--seed", str(2**64 + 1)],  # would alias seed 1 if wrapped to 64 bits
+        ["--seed", "-1"],
     ],
 )
-def test_out_of_range_values_are_usage_errors(tmp_path, flags):
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path / "x.csv"), "--seed", "1", *flags])
     assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_writes_deterministic_outputs(tmp_path, capsys):
@@ -153,6 +165,56 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"strategic": "false"},
+        {"strategic": 0},
+        {"runs": 2.9},
+        {"runs": 2.0},
+        {"agents": True},
+        {"papers_mean": "10"},
+        {"alpha_share": None},
+        {"citations_dispersion": "2"},
+        {"papers_dist": "Poisson"},
+        {"citations_dist": 1},
+        {"seed": 7.5},
+        {"seed": "7"},
+        {"seed": True},
+        {"seed": None},
+        {"seed": 2**64},
+        {"seed": -1},
+        {"scenario": None},
+    ],
+    ids=lambda entry: json.dumps(entry),
+)
+def test_config_file_values_are_type_checked(tmp_path, capsys, entry):
+    cfg_file = tmp_path / "params.json"
+    cfg_file.write_text(json.dumps({"runs": 1, "agents": 10, "periods": 2, "seed": 1, **entry}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_accepts_null_dispersion_and_integral_floats(tmp_path):
+    cfg_file = tmp_path / "params.json"
+    cfg_file.write_text(json.dumps({"citations_dispersion": None, "papers_mean": 8}))
+    config, _ = parse_config(["--config", str(cfg_file), "--seed", "1", "--out", "x.csv"])
+    assert config.citation_dispersion is None
+    assert config.paper_mean == 8
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Flags", 1)[1].split("\n\n", 2)[1]
+    documented = re.findall(r"^\| `(--[a-z-]+)` \|", table, flags=re.MULTILINE)
+    actions = [a for a in build_parser()._actions if a.dest != "help"]
+    flags = [s for a in actions for s in a.option_strings]
+    assert sorted(documented) == sorted(flags)
+    assert len(documented) == len(set(documented))
 
 
 def test_strategic_scenario_flag_reaches_engine(tmp_path):

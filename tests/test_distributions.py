@@ -4,21 +4,21 @@ Aging-curve values are checked against scipy's log-logistic (fisk) density,
 an independent route to the same shape.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import fisk
 
+from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import (
     AgingCurve,
-    CountDistribution,
     CountKind,
+    _log_logistic_density,
     draw_counts,
     expected_citations,
-    log_logistic_density,
-    sample_citations_for_age,
-    sample_count,
 )
 from halpha_sim.errors import ConfigurationError
 
@@ -27,16 +27,14 @@ N_DRAWS = 100_000
 
 def test_poisson_moments():
     rng = np.random.default_rng(1234)
-    dist = CountDistribution(CountKind.POISSON, 10.0)
-    draws = np.array([sample_count(dist, rng) for _ in range(N_DRAWS)])
+    draws = draw_counts(CountKind.POISSON, 10.0, rng, size=N_DRAWS)
     assert 9.9 <= draws.mean() <= 10.1
     assert 9.5 <= draws.var() <= 10.5
 
 
 def test_poisson_zero_mean_is_degenerate():
     rng = np.random.default_rng(0)
-    dist = CountDistribution(CountKind.POISSON, 0.0)
-    assert all(sample_count(dist, rng) == 0 for _ in range(1000))
+    assert (draw_counts(CountKind.POISSON, 0.0, rng, size=1000) == 0).all()
 
 
 def test_negative_binomial_moments():
@@ -58,7 +56,10 @@ def test_negative_binomial_moments():
 )
 def test_invalid_count_parameters(kind, mean, dispersion):
     with pytest.raises(ConfigurationError):
-        CountDistribution(kind, mean, dispersion)
+        draw_counts(kind, mean, np.random.default_rng(0), dispersion)
+    baseline = scenario_config("baseline", master_seed=1)
+    with pytest.raises(ConfigurationError):
+        replace(baseline, paper_kind=kind, paper_mean=mean, paper_dispersion=dispersion)
 
 
 @given(
@@ -70,17 +71,15 @@ def test_invalid_count_parameters(kind, mean, dispersion):
 @settings(max_examples=100)
 def test_samples_are_nonnegative_integers(kind, mean, dispersion, seed):
     rng = np.random.default_rng(seed)
-    dist = CountDistribution(kind, mean, dispersion)
-    value = sample_count(dist, rng)
-    assert isinstance(value, int)
-    assert value >= 0
+    draws = draw_counts(kind, mean, rng, dispersion, size=20)
+    assert draws.dtype.kind == "i"
+    assert (draws >= 0).all()
 
 
 def test_same_seed_same_draw_sequence():
-    dist = CountDistribution(CountKind.NBINOMIAL, 7.5, 3.0)
     rng1, rng2 = np.random.default_rng(99), np.random.default_rng(99)
-    seq1 = [sample_count(dist, rng1) for _ in range(200)]
-    seq2 = [sample_count(dist, rng2) for _ in range(200)]
+    seq1 = [draw_counts(CountKind.NBINOMIAL, 7.5, rng1, 3.0) for _ in range(200)]
+    seq2 = [draw_counts(CountKind.NBINOMIAL, 7.5, rng2, 3.0) for _ in range(200)]
     assert seq1 == seq2
 
 
@@ -107,7 +106,9 @@ def test_curve_matches_scipy_fisk(peak, speed):
 
 def test_density_vanishes_at_origin():
     curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    values = [log_logistic_density(t, curve.scale, curve.speed) for t in (1e-3, 1e-6, 1e-9, 1e-12)]
+    values = [
+        _log_logistic_density(t, curve.scale, curve.speed) for t in (1e-3, 1e-6, 1e-9, 1e-12)
+    ]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
 
@@ -156,24 +157,19 @@ def test_unimodal_across_parameters(peak, speed, max_mean):
 def test_citation_sampler_mean_at_peak():
     rng = np.random.default_rng(77)
     curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    draws = np.array(
-        [sample_citations_for_age(3, curve, CountKind.POISSON, rng) for _ in range(N_DRAWS)]
-    )
+    draws = draw_counts(CountKind.POISSON, expected_citations(3, curve), rng, size=N_DRAWS)
     assert 4.9 <= draws.mean() <= 5.1
 
 
 def test_citation_sampler_mean_at_age_ten():
     rng = np.random.default_rng(78)
     curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    draws = np.array(
-        [sample_citations_for_age(10, curve, CountKind.POISSON, rng) for _ in range(N_DRAWS)]
-    )
+    draws = draw_counts(CountKind.POISSON, expected_citations(10, curve), rng, size=N_DRAWS)
     assert 1.30 <= draws.mean() <= 1.38
 
 
 def test_citation_sampler_zero_max_mean():
     rng = np.random.default_rng(79)
     curve = AgingCurve(peak_period=3.0, max_mean=0.0, speed=2.0)
-    assert all(
-        sample_citations_for_age(a, curve, CountKind.POISSON, rng) == 0 for a in range(1, 50)
-    )
+    means = [expected_citations(a, curve) for a in range(1, 50)]
+    assert (draw_counts(CountKind.POISSON, means, rng) == 0).all()

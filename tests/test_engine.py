@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 from halpha_sim import model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
-from halpha_sim.distributions import AgingCurve, CountDistribution, CountKind
+from halpha_sim.distributions import AgingCurve, CountKind
 from halpha_sim.engine import (
     SimulationConfig,
     cite_papers,
@@ -36,7 +36,8 @@ def make_config(**overrides) -> SimulationConfig:
         n_agents=20,
         periods=5,
         coauthors_mean=3,
-        paper_dist=CountDistribution(CountKind.POISSON, 5.0),
+        paper_kind=CountKind.POISSON,
+        paper_mean=5.0,
         citation_kind=CountKind.POISSON,
         aging=AgingCurve(3.0, 5.0, 2.0),
         alpha_share=0.33,
@@ -51,7 +52,7 @@ def quiet_config(**overrides) -> SimulationConfig:
     defaults = dict(
         n_agents=4,
         coauthors_mean=2,
-        paper_dist=CountDistribution(CountKind.POISSON, 0.0),
+        paper_mean=0.0,
         aging=AgingCurve(3.0, 0.0, 2.0),
     )
     defaults.update(overrides)
@@ -74,6 +75,10 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"diligence_correlation": -0.1},
         {"boost_size": -0.5},
         {"citation_kind": CountKind.NBINOMIAL},  # missing dispersion
+        {"paper_kind": CountKind.NBINOMIAL},  # missing dispersion
+        {"paper_mean": -1.0},
+        {"master_seed": -1},
+        {"master_seed": 2**64},
     ],
 )
 def test_config_validation(overrides):
@@ -100,7 +105,7 @@ def test_init_baseline_has_200_agents():
     cfg = scenario_config("baseline", master_seed=3)
     state = init_state(cfg, 0)
     assert state.n_agents == 200
-    assert len(state.agents) == 200
+    assert state.initial_h.shape == state.agent_paper_counts.shape == (200,)
 
 
 def test_init_mean_initial_papers_near_ten():
@@ -354,15 +359,13 @@ def test_dynamic_alpha_recredits_solo_initial_papers():
 
 
 def _assert_state_matches_model(state):
-    papers = state.papers
-    for agent in state.agents:
-        triples = [
-            (pid, papers[pid].citations, papers[pid].alpha_author_id)
-            for pid in agent.paper_ids
-        ]
-        h = model.h_index([c for _, c, _ in triples])
-        assert agent.current_h == h
-        assert agent.current_h_alpha == model.h_alpha(agent.id, triples, h)
+    for agent in range(state.n_agents):
+        pids = state.agent_papers[agent, : state.agent_paper_counts[agent]]
+        cites = state.citations[pids].tolist()
+        triples = list(zip(pids.tolist(), cites, state.alpha_author[pids].tolist()))
+        h = model.h_index(cites)
+        assert state.current_h[agent] == h
+        assert state.current_h_alpha[agent] == model.h_alpha(agent, triples, h)
 
 
 @pytest.mark.parametrize(
@@ -376,7 +379,8 @@ def _assert_state_matches_model(state):
         {
             "citation_kind": CountKind.NBINOMIAL,
             "citation_dispersion": 2.0,
-            "paper_dist": CountDistribution(CountKind.NBINOMIAL, 5.0, 3.0),
+            "paper_kind": CountKind.NBINOMIAL,
+            "paper_dispersion": 3.0,
         },
     ],
 )

@@ -1,0 +1,97 @@
+"""Golden outputs: the exact bytes the CLI writes for fixed (config, seed) pairs.
+
+Each case runs ``cli.main`` at a reduced size and pins the sha256 of the
+aggregated CSV, the per-run CSV and the config echo (without its ``out``
+line, which names a temporary path). Any change to the RNG draw order, the
+group split, the CSV format or the echo changes a hash; a refactor that
+keeps the behaviour must leave all of them as they are.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from halpha_sim.cli import config_echo_path, main, per_run_path
+
+SMALL = ["--agents", "60", "--runs", "4", "--periods", "6", "--per-run"]
+
+CONFIG_FILE = {
+    "scenario": "diligence",
+    "seed": 106,
+    "runs": 4,
+    "agents": 60,
+    "periods": 6,
+    "papers_dist": "nbinomial",
+    "papers_mean": 8,
+    "papers_dispersion": 3.0,
+    "alpha_share": 0.5,
+    "diligence_share": 0.75,
+}
+
+CASES = {
+    "baseline": [*SMALL, "--scenario", "baseline", "--seed", "101"],
+    "boost": [*SMALL, "--scenario", "boost", "--seed", "102"],
+    "diligence": [*SMALL, "--scenario", "diligence", "--seed", "103"],
+    "strategic": [*SMALL, "--scenario", "strategic", "--seed", str(2**64 - 1)],
+    "dynamic": [
+        *SMALL, "--update-alpha", "--self-citations", "--citations-dist", "nbinomial",
+        "--citations-dispersion", "2", "--seed", "105",
+    ],
+    "config_file": ["--per-run"],
+}
+
+# (aggregated CSV, per-run CSV, config echo without the out line)
+GOLDEN = {
+    "baseline": (
+        "41043417f1b6bb93c350df97da4bc4ecc7a4636cfa61822da3aa453d409771b6",
+        "f721ccc65c44b80b7bc7d848fff6ff9b66361c3e0f10c9e186de7b29d0b5d24d",
+        "e0acc9abd879966d3457b36b5121924f303878a0bf03f39f573f339a5479e3dc",
+    ),
+    "boost": (
+        "3417622436c93455b136680c5cfab479e27aa875dd59ddf0c118ea1f57b2c48f",
+        "5a5c25558755ce938eefe79c47139b671c230d2a778d2c1d12c5f6e2c9adb654",
+        "bec2d48485442d15802ca9734a87c7982aee3863e7d353097ba7ebb72acab512",
+    ),
+    "config_file": (
+        "dad84fc55a0de4ac3ed0cf3133cba11223e330ce9b2a49c7e544daa557ff4d0b",
+        "b3a18ac96ee01049dbffd25dd572997c83f6ed54bfd4f76a686a93781c720d2a",
+        "3c9ff4adac2f97a60650322180275b43b378e997ae4f43814ac543f7a3456b88",
+    ),
+    "diligence": (
+        "db44d35f21b81fc18394a2d1d727ad3dd9a2b42b8d3b14c2eec6a1e5fedbd553",
+        "ec69e99955f008eee430ca27741203e6c85749c88be426f9f667b840afedbf0e",
+        "4d4a5e6efc6b4173fc405ac84463972854db31684a1e79f5703139a868d1519d",
+    ),
+    "dynamic": (
+        "4d6518a3f88b2472674cf064418dbfeb0fb81db31b4c5a52959ea05df6b2e893",
+        "99ff38bced82b50a004b11a9a6dc87fbe7d8f4c36a263e5cafb7407d5bc3f1a0",
+        "e70abfead1053816702058aab09b268dfcb7996c1b8dea1250d9ae72dafa5989",
+    ),
+    "strategic": (
+        "7db54cda46b1313a90b9131405aa8b08efd72e5618665945f72073c72b596da2",
+        "2f387e9ee11b6f9aeaffc22cd11e44d0bd91813ca8ed579f85bcf6e73fcbb714",
+        "da9ca7c13287a27f25cff52c29be6a3924931da6124d5aac8964c1fa41c64bd2",
+    ),
+}
+
+
+def _digests(tmp_path, name: str) -> tuple[str, str, str]:
+    argv = list(CASES[name])
+    if name == "config_file":
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(CONFIG_FILE), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    out = tmp_path / f"{name}.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    echo = config_echo_path(out).read_text(encoding="utf-8").splitlines(keepends=True)
+    echo = "".join(line for line in echo if not line.startswith("out = "))
+    return tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (out.read_bytes(), per_run_path(out).read_bytes(), echo.encode("utf-8"))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(tmp_path, capsys, name):
+    assert _digests(tmp_path, name) == GOLDEN[name]
