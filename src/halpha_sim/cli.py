@@ -20,7 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
-from .analysis import _fmt, aggregate, export_csv, split_groups
+from .analysis import _fmt, aggregate, export_csv
 from .distributions import AgingCurve, CountKind
 from .engine import SimulationConfig, run_experiment
 from .errors import ConfigurationError, DataError
@@ -254,8 +254,7 @@ def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
     """Run the experiment, write CSV and config echo, print the summary."""
     try:
         runs = run_experiment(config)
-        splits = [split_groups(run.initial_h) for run in runs]
-        result = aggregate(runs, splits)
+        result = aggregate(runs)
     except (ConfigurationError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

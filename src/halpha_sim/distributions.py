@@ -27,10 +27,10 @@ class CountKind(str, Enum):
 def _validate_count_params(kind: CountKind, mean: float, dispersion: float | None) -> None:
     """Reject a negative mean, or a negative binomial without a positive
     dispersion (its size parameter: Var = mean + mean**2 / dispersion)."""
-    if mean < 0:
+    if not mean >= 0:
         raise ConfigurationError(f"count mean must be nonnegative, got {mean}")
     if kind is CountKind.NBINOMIAL:
-        if dispersion is None or dispersion <= 0:
+        if dispersion is None or not dispersion > 0:
             raise ConfigurationError(
                 f"negative binomial requires a positive dispersion, got {dispersion}"
             )
@@ -72,11 +72,11 @@ class AgingCurve:
     speed: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.peak_period <= 0:
+        if not self.peak_period > 0:
             raise ConfigurationError(f"peak_period must be positive, got {self.peak_period}")
-        if self.max_mean < 0:
+        if not self.max_mean >= 0:
             raise ConfigurationError(f"max_mean must be nonnegative, got {self.max_mean}")
-        if self.speed <= 1:
+        if not self.speed > 1:
             raise ConfigurationError(
                 f"speed must exceed 1 for the curve to have an interior peak, got {self.speed}"
             )

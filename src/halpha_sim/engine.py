@@ -21,10 +21,9 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .distributions import (
     AgingCurve,
@@ -72,7 +71,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         for name in ("runs", "n_agents", "periods", "coauthors_mean"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0.0 <= self.alpha_share <= 1.0:
             raise ConfigurationError(f"alpha_share must be in [0, 1], got {self.alpha_share}")
@@ -82,7 +81,7 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"diligence_correlation must be in [0, 1], got {self.diligence_correlation}"
             )
-        if self.boost_size < 0:
+        if not self.boost_size >= 0:
             raise ConfigurationError(f"boost_size must be nonnegative, got {self.boost_size}")
         _validate_count_params(self.paper_kind, self.paper_mean, self.paper_dispersion)
         _validate_count_params(self.citation_kind, 0.0, self.citation_dispersion)
@@ -92,7 +91,7 @@ class SimulationConfig:
             warnings.warn(
                 "diligence_correlation has no effect when collab_share is 1 "
                 "(every agent publishes every period)",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -147,8 +146,10 @@ class SimulationState:
 def rank_normal_scores(values) -> np.ndarray:
     """Map values to standard-normal scores by rank (ties share the average rank)."""
     values = np.asarray(values)
-    ranks = rankdata(values, method="average")
-    return ndtri((ranks - 0.5) / values.size)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - (counts - 1) / 2  # average 1-based rank of each distinct value
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf((r - 0.5) / values.size) for r in ranks])[inverse]
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:

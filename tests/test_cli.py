@@ -1,7 +1,10 @@
 """Preset expansion, flag handling, exit codes, and output files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from copy import deepcopy
 from pathlib import Path
 
@@ -222,3 +225,23 @@ def test_strategic_scenario_flag_reaches_engine(tmp_path):
         ["--scenario", "strategic", "--seed", "3", "--out", str(tmp_path / "s.csv")]
     )
     assert config.strategic is True
+
+
+def test_cli_and_diligence_transform_load_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-side oracle only
+    script = (
+        "import sys\n"
+        "from halpha_sim import cli, engine\n"
+        "argv = ['--scenario', 'diligence', '--agents', '20', '--out', 'x.csv']\n"
+        "config, _ = cli.parse_config(argv)\n"
+        "assert engine.init_state(config, 0).diligence_z is not None\n"
+        "assert 'scipy' not in sys.modules, [m for m in sys.modules if m.startswith('scipy')]\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ Aging-curve values are checked against scipy's log-logistic (fisk) density,
 an independent route to the same shape.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,9 @@ def test_speed_at_most_one_rejected():
         AgingCurve(peak_period=0.0, max_mean=5.0, speed=2.0)
     with pytest.raises(ConfigurationError):
         AgingCurve(peak_period=3.0, max_mean=-1.0, speed=2.0)
+    for args in [(math.nan, 5.0, 2.0), (3.0, math.nan, 2.0), (3.0, 5.0, math.nan)]:
+        with pytest.raises(ConfigurationError):
+            AgingCurve(*args)
 
 
 def _assert_unimodal(curve: AgingCurve, max_age: int = 50) -> None:

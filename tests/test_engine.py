@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.special import ndtri
+from scipy.stats import rankdata, spearmanr
 
 from halpha_sim import model
 from halpha_sim.analysis import aggregate, export_csv
@@ -79,6 +80,11 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"paper_mean": -1.0},
         {"master_seed": -1},
         {"master_seed": 2**64},
+        {"boost_size": math.nan},
+        {"paper_mean": math.nan},
+        {"paper_kind": CountKind.NBINOMIAL, "paper_dispersion": math.nan},
+        {"citation_kind": CountKind.NBINOMIAL, "citation_dispersion": math.nan},
+        {"runs": math.nan},
     ],
 )
 def test_config_validation(overrides):
@@ -87,8 +93,10 @@ def test_config_validation(overrides):
 
 
 def test_config_warns_when_diligence_cannot_bind():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         make_config(diligence_correlation=0.5, collab_share=1.0)
+    # the warning points at the code that built the config, not the dataclass __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_round_half_away():
@@ -160,6 +168,24 @@ def test_select_count_rounds_half_away():
     cfg = make_config(n_agents=5, collab_share=0.5)
     state = init_state(cfg, 0)
     assert len(select_collaborators(state, cfg)) == 3  # round(2.5) = 3
+
+
+_POISSON_ROWS = np.random.default_rng(5).poisson(3.0, size=(6, 40))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [*_POISSON_ROWS, [7], [4, 4, 4, 4, 4], [1, 2, 2, 2, 9], [0.5, -1.25, 3.0]],
+    ids=[*(f"poisson{i}" for i in range(6)), "n1", "all_equal", "tie_block", "distinct"],
+)
+def test_rank_normal_scores_match_scipy(values):
+    values = np.asarray(values)
+    scores = rank_normal_scores(values)
+    expected = ndtri((rankdata(values, method="average") - 0.5) / values.size)
+    assert scores.shape == values.shape
+    assert np.allclose(scores, expected, rtol=4e-15, atol=1e-15)
+    for v in np.unique(values):
+        assert np.unique(scores[values == v]).size == 1  # equal inputs, equal scores
 
 
 def test_diligence_latent_score_correlation_band():
