@@ -9,6 +9,7 @@ that rises to a configurable peak and then decays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,14 +26,14 @@ class CountKind(str, Enum):
 
 
 def _validate_count_params(kind: CountKind, mean: float, dispersion: float | None) -> None:
-    """Reject a negative mean, or a negative binomial without a positive
-    dispersion (its size parameter: Var = mean + mean**2 / dispersion)."""
-    if not mean >= 0:
-        raise ConfigurationError(f"count mean must be nonnegative, got {mean}")
+    """Reject a negative or infinite mean, or a negative binomial without a
+    finite positive dispersion (its size parameter: Var = mean + mean**2 / dispersion)."""
+    if not 0 <= mean < math.inf:
+        raise ConfigurationError(f"count mean must be finite and nonnegative, got {mean}")
     if kind is CountKind.NBINOMIAL:
-        if dispersion is None or not dispersion > 0:
+        if dispersion is None or not 0 < dispersion < math.inf:
             raise ConfigurationError(
-                f"negative binomial requires a positive dispersion, got {dispersion}"
+                f"negative binomial requires a finite positive dispersion, got {dispersion}"
             )
 
 
@@ -72,13 +73,18 @@ class AgingCurve:
     speed: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.peak_period > 0:
-            raise ConfigurationError(f"peak_period must be positive, got {self.peak_period}")
-        if not self.max_mean >= 0:
-            raise ConfigurationError(f"max_mean must be nonnegative, got {self.max_mean}")
-        if not self.speed > 1:
+        if not 0 < self.peak_period < math.inf:
             raise ConfigurationError(
-                f"speed must exceed 1 for the curve to have an interior peak, got {self.speed}"
+                f"peak_period must be finite and positive, got {self.peak_period}"
+            )
+        if not 0 <= self.max_mean < math.inf:
+            raise ConfigurationError(
+                f"max_mean must be finite and nonnegative, got {self.max_mean}"
+            )
+        if not 1 < self.speed < math.inf:
+            raise ConfigurationError(
+                "speed must be finite and exceed 1 for the curve to have an interior peak, "
+                f"got {self.speed}"
             )
 
     @property

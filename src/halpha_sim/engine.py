@@ -71,8 +71,10 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         for name in ("runs", "n_agents", "periods", "coauthors_mean"):
-            if not getattr(self, name) >= 1:
-                raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and at least 1, got {getattr(self, name)}"
+                )
         if not 0.0 <= self.alpha_share <= 1.0:
             raise ConfigurationError(f"alpha_share must be in [0, 1], got {self.alpha_share}")
         if not 0.0 < self.collab_share <= 1.0:
@@ -81,8 +83,10 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"diligence_correlation must be in [0, 1], got {self.diligence_correlation}"
             )
-        if not self.boost_size >= 0:
-            raise ConfigurationError(f"boost_size must be nonnegative, got {self.boost_size}")
+        if not 0 <= self.boost_size < math.inf:
+            raise ConfigurationError(
+                f"boost_size must be finite and nonnegative, got {self.boost_size}"
+            )
         _validate_count_params(self.paper_kind, self.paper_mean, self.paper_dispersion)
         _validate_count_params(self.citation_kind, 0.0, self.citation_dispersion)
         if not 0 <= self.master_seed < 2**64:
@@ -356,26 +360,38 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
 
 
 def _recompute_indices(state: SimulationState) -> None:
-    """Refresh every agent's current h and h-alpha from the citation table."""
+    """Refresh every agent's current h and h-alpha from the citation table.
+
+    h is raised from ``current_h``, which must not exceed the true h: it is 0
+    in ``init_state``, and citations and paper sets only grow, so h never
+    falls. An agent's h rises past k exactly when more than k of its papers
+    have more than k citations. The h-core is every paper above h plus the
+    earliest papers at exactly h; a row lists paper ids in increasing order,
+    so ties go to the smaller id, as in ``model.h_core``.
+    """
     n = state.n_agents
     if state.citations.size == 0:  # no papers can ever exist under this config
         state.current_h = np.zeros(n, dtype=np.int64)
         state.current_h_alpha = np.zeros(n, dtype=np.int64)
         return
-    width = state.agent_papers.shape[1]
-    held = np.arange(width) < state.agent_paper_counts[:, None]
-    pid = np.where(held, state.agent_papers, 0)
-    cit = np.where(held, state.citations[pid], -1)
+    papers = state.agent_papers
+    cit = np.where(papers >= 0, state.citations[papers], -1)  # empty slots: -1
 
-    by_citations = -np.sort(-cit, axis=1)
-    state.current_h = (by_citations >= np.arange(1, width + 1)).sum(axis=1)
+    h = state.current_h.copy()
+    rows, sub = np.arange(n), cit
+    while rows.size:
+        rises = (sub > h[rows, None]).sum(axis=1) > h[rows]
+        rows, sub = rows[rises], sub[rises]
+        h[rows] += 1
+    state.current_h = h
 
-    # core order: citations desc, paper id asc (ids are globally unique)
-    key = np.where(held, cit * np.int64(state.n_papers + 1) - pid, _NEG_KEY)
-    order = np.argsort(-key, axis=1)
-    own_alpha = held & (state.alpha_author[pid] == np.arange(n)[:, None])
-    in_core = np.arange(width) < state.current_h[:, None]
-    state.current_h_alpha = (np.take_along_axis(own_alpha, order, axis=1) & in_core).sum(axis=1)
+    # at most h papers lie above h, or h would be at least h + 1
+    above = cit > h[:, None]
+    at_h = cit == h[:, None]
+    room = h - above.sum(axis=1)
+    in_core = above | (at_h & (np.cumsum(at_h, axis=1, dtype=np.int32) <= room[:, None]))
+    own_alpha = state.alpha_author[papers] == np.arange(n)[:, None]
+    state.current_h_alpha = (in_core & own_alpha).sum(axis=1)
 
 
 def _reassign_alpha_authors(state: SimulationState) -> None:

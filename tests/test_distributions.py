@@ -127,7 +127,14 @@ def test_speed_at_most_one_rejected():
         AgingCurve(peak_period=0.0, max_mean=5.0, speed=2.0)
     with pytest.raises(ConfigurationError):
         AgingCurve(peak_period=3.0, max_mean=-1.0, speed=2.0)
-    for args in [(math.nan, 5.0, 2.0), (3.0, math.nan, 2.0), (3.0, 5.0, math.nan)]:
+    for args in [
+        (math.nan, 5.0, 2.0),
+        (3.0, math.nan, 2.0),
+        (3.0, 5.0, math.nan),
+        (math.inf, 5.0, 2.0),
+        (3.0, math.inf, 2.0),
+        (3.0, 5.0, math.inf),
+    ]:
         with pytest.raises(ConfigurationError):
             AgingCurve(*args)
 

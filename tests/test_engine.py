@@ -4,10 +4,14 @@ The array-based engine is cross-checked against the record-by-record
 definitions in ``model`` on full simulated states.
 """
 
+import copy
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import rankdata, spearmanr
 
@@ -17,6 +21,7 @@ from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import AgingCurve, CountKind
 from halpha_sim.engine import (
     SimulationConfig,
+    _recompute_indices,
     cite_papers,
     form_teams,
     init_state,
@@ -85,6 +90,11 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"paper_kind": CountKind.NBINOMIAL, "paper_dispersion": math.nan},
         {"citation_kind": CountKind.NBINOMIAL, "citation_dispersion": math.nan},
         {"runs": math.nan},
+        {"boost_size": math.inf},
+        {"paper_mean": math.inf},
+        {"paper_kind": CountKind.NBINOMIAL, "paper_dispersion": math.inf},
+        {"citation_kind": CountKind.NBINOMIAL, "citation_dispersion": math.inf},
+        {"n_agents": math.inf},
     ],
 )
 def test_config_validation(overrides):
@@ -394,6 +404,14 @@ def _assert_state_matches_model(state):
         assert state.current_h_alpha[agent] == model.h_alpha(agent, triples, h)
 
 
+def _assert_run_matches_model(cfg):
+    state = init_state(cfg, 0)
+    _assert_state_matches_model(state)
+    for _ in range(cfg.periods):
+        step_period(state, cfg)
+        _assert_state_matches_model(state)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -411,12 +429,85 @@ def _assert_state_matches_model(state):
     ],
 )
 def test_engine_indices_match_model(overrides):
-    cfg = make_config(runs=1, n_agents=15, periods=6, master_seed=777, **overrides)
+    _assert_run_matches_model(
+        make_config(runs=1, n_agents=15, periods=6, master_seed=777, **overrides)
+    )
+
+
+count_kinds = st.sampled_from([(CountKind.POISSON, None), (CountKind.NBINOMIAL, 1.5)])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(
+    n_agents=st.integers(1, 25),
+    periods=st.integers(1, 8),
+    coauthors=st.integers(1, 4),
+    collab_share=st.floats(0.0, 1.0, exclude_min=True),
+    paper_mean=st.floats(0.0, 8.0),
+    max_mean=st.floats(0.0, 6.0),
+    alpha_share=st.floats(0.0, 1.0),
+    strategic=st.booleans(),
+    dynamic_alpha=st.booleans(),
+    self_citation=st.booleans(),
+    boost_size=st.sampled_from([0.0, 0.4, 1.5]),
+    papers=count_kinds,
+    citations=count_kinds,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_indices_match_model_on_random_configs(
+    n_agents, periods, coauthors, collab_share, paper_mean, max_mean, alpha_share,
+    strategic, dynamic_alpha, self_citation, boost_size, papers, citations, seed,
+):
+    cfg = make_config(
+        runs=1,
+        n_agents=n_agents,
+        periods=periods,
+        coauthors_mean=coauthors,
+        collab_share=collab_share,
+        paper_kind=papers[0],
+        paper_dispersion=papers[1],
+        paper_mean=paper_mean,
+        citation_kind=citations[0],
+        citation_dispersion=citations[1],
+        aging=AgingCurve(3.0, max_mean, 2.0),
+        alpha_share=alpha_share,
+        strategic=strategic,
+        dynamic_alpha=dynamic_alpha,
+        self_citation=self_citation,
+        boost_size=boost_size,
+        master_seed=seed,
+    )
+    _assert_run_matches_model(cfg)
+
+
+def test_recompute_indices_resolves_ties_at_h_by_paper_id():
+    cfg = quiet_config(coauthors_mean=1)
     state = init_state(cfg, 0)
+    # paper ids 0..7 go to agents 0, 2, 3, 0, 2, 0, 0, 0; agent 1 has none
+    for teams in ([[0], [2], [3]], [[0], [2]], [[0]], [[0]], [[0]]):
+        publish(np.array(teams), state, cfg)
+    state.citations[:8] = [5, 0, 1, 3, 0, 3, 3, 1]
+    # agent 0 holds 5, 3, 3, 3, 1 in paper-id order: h = 3, and the core takes
+    # the first two of the three papers at 3. Paper 3 is not its own, so only
+    # papers 0 and 5 count; papers 6 and 7 are its own but outside the core.
+    state.alpha_author[3] = EXTERNAL_AUTHOR
+    _recompute_indices(state)
+    assert state.current_h.tolist() == [3, 0, 0, 1]
+    assert state.current_h_alpha.tolist() == [2, 0, 0, 1]
     _assert_state_matches_model(state)
-    for _ in range(cfg.periods):
+
+
+def test_recompute_indices_from_zero_matches_incremental_path():
+    cfg = make_config(runs=1, n_agents=40, periods=12, master_seed=31)
+    state = init_state(cfg, 0)
+    for _ in range(8):
         step_period(state, cfg)
-    _assert_state_matches_model(state)
+    fresh = copy.copy(state)
+    fresh.current_h = np.zeros_like(state.current_h)
+    _recompute_indices(fresh)
+    assert state.current_h.max() >= 3
+    assert np.array_equal(fresh.current_h, state.current_h)
+    assert np.array_equal(fresh.current_h_alpha, state.current_h_alpha)
 
 
 def test_team_partition_every_period():
