@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import secrets
 import sys
 from dataclasses import dataclass
@@ -156,6 +157,18 @@ def scenario_config(name: str, master_seed: int, **overrides) -> SimulationConfi
 # Keys of a JSON config file, and the flags that override them.
 _KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
 
+# The flag that sets each SimulationConfig and AgingCurve attribute.
+_FLAG_OF = {p.field.rpartition(".")[2]: "--" + p.name.replace("_", "-") for p in PARAMETERS}
+_FLAG_OF["master_seed"] = "--seed"
+
+
+def _with_flags(exc: ConfigurationError) -> str:
+    """The error message with the attributes it names replaced by their flags."""
+    if not exc.fields:
+        return str(exc)
+    names = re.compile(r"\b(" + "|".join(exc.fields) + r")\b")
+    return names.sub(lambda m: _FLAG_OF.get(m[0], m[0]), str(exc))
+
 
 @dataclass(frozen=True)
 class CliOptions:
@@ -224,7 +237,7 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
     try:
         config = scenario_config(scenario, seed, **values)
     except ConfigurationError as exc:
-        parser.error(str(exc))
+        parser.error(_with_flags(exc))
     options = CliOptions(
         scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run)
     )

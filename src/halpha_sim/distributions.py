@@ -25,15 +25,26 @@ class CountKind(str, Enum):
     NBINOMIAL = "nbinomial"
 
 
-def _validate_count_params(kind: CountKind, mean: float, dispersion: float | None) -> None:
-    """Reject a negative or infinite mean, or a negative binomial without a
-    finite positive dispersion (its size parameter: Var = mean + mean**2 / dispersion)."""
+def _validate_count_params(
+    kind: CountKind,
+    mean: float,
+    dispersion: float | None,
+    mean_name: str = "count mean",
+    dispersion_name: str = "dispersion",
+) -> None:
+    """Reject a negative or non-finite mean, or a negative binomial without a
+    finite positive dispersion (its size parameter: Var = mean + mean**2 / dispersion).
+    The names are those of the checked values in the error message."""
     if not 0 <= mean < math.inf:
-        raise ConfigurationError(f"count mean must be finite and nonnegative, got {mean}")
+        raise ConfigurationError(
+            f"{mean_name} must be finite and nonnegative, got {mean}", mean_name
+        )
     if kind is CountKind.NBINOMIAL:
         if dispersion is None or not 0 < dispersion < math.inf:
             raise ConfigurationError(
-                f"negative binomial requires a finite positive dispersion, got {dispersion}"
+                f"{dispersion_name} must be finite and positive for the negative binomial, "
+                f"got {dispersion}",
+                dispersion_name,
             )
 
 
@@ -50,8 +61,9 @@ def draw_counts(
     which gives E[X] = mean and Var[X] = mean + mean**2 / dispersion.
     """
     means = np.asarray(means, dtype=float)
-    if np.any(means < 0):
-        raise ConfigurationError("count means must be nonnegative")
+    # min and max propagate NaN, so a NaN mean fails the first test
+    if not (0 <= means.min(initial=0) and means.max(initial=0) < math.inf):
+        raise ConfigurationError("count means must be finite and nonnegative")
     if kind is CountKind.POISSON:
         return rng.poisson(means, size=size)
     _validate_count_params(kind, 0.0, dispersion)
@@ -75,16 +87,17 @@ class AgingCurve:
     def __post_init__(self) -> None:
         if not 0 < self.peak_period < math.inf:
             raise ConfigurationError(
-                f"peak_period must be finite and positive, got {self.peak_period}"
+                f"peak_period must be finite and positive, got {self.peak_period}", "peak_period"
             )
         if not 0 <= self.max_mean < math.inf:
             raise ConfigurationError(
-                f"max_mean must be finite and nonnegative, got {self.max_mean}"
+                f"max_mean must be finite and nonnegative, got {self.max_mean}", "max_mean"
             )
         if not 1 < self.speed < math.inf:
             raise ConfigurationError(
                 "speed must be finite and exceed 1 for the curve to have an interior peak, "
-                f"got {self.speed}"
+                f"got {self.speed}",
+                "speed",
             )
 
     @property

@@ -32,13 +32,22 @@ from .distributions import (
     draw_counts,
     expected_citations,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .model import EXTERNAL_AUTHOR
 
 _NEG_KEY = np.iinfo(np.int64).min // 2
 
 # Pre-simulation papers are one to five periods old at initialization.
 INITIAL_AGE_MAX = 5
+
+# Citation counts, h values and credited authors are int32 in the state.
+COUNT_MAX = 2**31 - 1
+# Upper limit on a config's expected citations per paper and on its expected
+# paper table size; the other half of the int32 range is headroom for the
+# tails of the count distributions, which cite_papers and init_state check.
+EXPECTED_MAX = 2**30
+# Upper limit on boost_size: round(h * boost_size) stays exact in int64.
+BOOST_SIZE_MAX = 2**10
 
 
 def round_half_away(x: float) -> int:
@@ -73,24 +82,53 @@ class SimulationConfig:
         for name in ("runs", "n_agents", "periods", "coauthors_mean"):
             if not 1 <= getattr(self, name) < math.inf:
                 raise ConfigurationError(
-                    f"{name} must be finite and at least 1, got {getattr(self, name)}"
+                    f"{name} must be finite and at least 1, got {getattr(self, name)}", name
                 )
         if not 0.0 <= self.alpha_share <= 1.0:
-            raise ConfigurationError(f"alpha_share must be in [0, 1], got {self.alpha_share}")
+            raise ConfigurationError(
+                f"alpha_share must be in [0, 1], got {self.alpha_share}", "alpha_share"
+            )
         if not 0.0 < self.collab_share <= 1.0:
-            raise ConfigurationError(f"collab_share must be in (0, 1], got {self.collab_share}")
+            raise ConfigurationError(
+                f"collab_share must be in (0, 1], got {self.collab_share}", "collab_share"
+            )
         if not 0.0 <= self.diligence_correlation <= 1.0:
             raise ConfigurationError(
-                f"diligence_correlation must be in [0, 1], got {self.diligence_correlation}"
+                f"diligence_correlation must be in [0, 1], got {self.diligence_correlation}",
+                "diligence_correlation",
             )
-        if not 0 <= self.boost_size < math.inf:
+        if not 0 <= self.boost_size <= BOOST_SIZE_MAX:
             raise ConfigurationError(
-                f"boost_size must be finite and nonnegative, got {self.boost_size}"
+                f"boost_size must be in [0, 2**10], got {self.boost_size}", "boost_size"
             )
-        _validate_count_params(self.paper_kind, self.paper_mean, self.paper_dispersion)
-        _validate_count_params(self.citation_kind, 0.0, self.citation_dispersion)
+        _validate_count_params(
+            self.paper_kind, self.paper_mean, self.paper_dispersion,
+            "paper_mean", "paper_dispersion",
+        )
+        _validate_count_params(
+            self.citation_kind, 0.0, self.citation_dispersion,
+            dispersion_name="citation_dispersion",
+        )
         if not 0 <= self.master_seed < 2**64:
-            raise ConfigurationError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+            raise ConfigurationError(
+                f"master_seed must be in [0, 2**64), got {self.master_seed}", "master_seed"
+            )
+        # Expected table size and citations per paper; the first two terms
+        # keep the products from overflowing a float.
+        n, periods = self.n_agents, self.periods
+        if not (n <= EXPECTED_MAX and periods <= EXPECTED_MAX
+                and n * (self.paper_mean + periods) <= EXPECTED_MAX):
+            raise ConfigurationError(
+                "n_agents * (paper_mean + periods) must be at most 2**30, "
+                f"got {n} * ({self.paper_mean} + {periods})",
+                "n_agents", "paper_mean", "periods",
+            )
+        if not self.aging.max_mean * (periods + INITIAL_AGE_MAX) <= EXPECTED_MAX:
+            raise ConfigurationError(
+                f"max_mean * (periods + {INITIAL_AGE_MAX}) must be at most 2**30, "
+                f"got {self.aging.max_mean} * ({periods} + {INITIAL_AGE_MAX})",
+                "max_mean", "periods",
+            )
         if self.diligence_correlation > 0 and self.collab_share >= 1.0:
             warnings.warn(
                 "diligence_correlation has no effect when collab_share is 1 "
@@ -125,7 +163,14 @@ class SimulationState:
     """Array-backed state of a single run.
 
     Paper rows 0..n_papers-1 are valid; ``authors`` pads short teams with -1.
-    ``agent_papers[i, :agent_paper_counts[i]]`` lists agent i's paper ids.
+    ``agent_papers[i, :agent_paper_counts[i]]`` lists agent i's paper ids, and
+    its empty slots hold the id ``capacity`` of a sentinel paper: entry
+    ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
+    ``EXTERNAL_AUTHOR``, so a gather through the table needs no mask and an
+    empty slot is never in an h-core nor credited to an agent. ``citations``,
+    ``alpha_author`` and ``current_h`` are int32 (capacity + 1 entries for
+    the first two); the limits in ``SimulationConfig`` and the checks on drawn
+    counts keep every value below ``COUNT_MAX``.
     """
 
     run_index: int
@@ -206,6 +251,8 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
             )
 
     capacity = total_initial + config.periods * _teams_per_period(config)
+    if capacity >= COUNT_MAX:  # the sentinel's id must fit too
+        raise DataError(f"{capacity} papers exceed the table limit of {COUNT_MAX - 1}")
     width = max(1, config.coauthors_mean)
 
     state = SimulationState(
@@ -214,21 +261,22 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         rng=rng,
         n_agents=n,
         n_papers=total_initial,
-        citations=np.zeros(capacity, dtype=np.int64),
+        citations=np.zeros(capacity + 1, dtype=np.int32),
         published_period=np.zeros(capacity, dtype=np.int64),
-        alpha_author=np.full(capacity, EXTERNAL_AUTHOR, dtype=np.int64),
+        alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
         boost_anchor=np.zeros(capacity, dtype=np.int64),
         authors=np.full((capacity, width), -1, dtype=np.int64),
         agent_papers=np.full(
-            (n, int(paper_counts.max(initial=0)) + config.periods), -1, dtype=np.int64
+            (n, int(paper_counts.max(initial=0)) + config.periods), capacity, dtype=np.int64
         ),
         agent_paper_counts=paper_counts.copy(),
-        initial_h=np.zeros(n, dtype=np.int64),
-        current_h=np.zeros(n, dtype=np.int64),
+        initial_h=np.zeros(n, dtype=np.int32),
+        current_h=np.zeros(n, dtype=np.int32),
         current_h_alpha=np.zeros(n, dtype=np.int64),
         citation_means=means,
     )
-    state.citations[:total_initial] = citations
+    state.citations[capacity] = -1
+    state.citations[:total_initial] = _checked_counts(citations)
     state.published_period[:total_initial] = -ages
     state.alpha_author[:total_initial] = np.where(is_own_alpha, owner, EXTERNAL_AUTHOR)
     state.authors[:total_initial, 0] = owner
@@ -301,7 +349,7 @@ def publish(teams: np.ndarray, state: SimulationState, config: SimulationConfig)
         return
     valid = teams >= 0
     safe = np.where(valid, teams, 0)
-    member_h = np.where(valid, state.current_h[safe], -1)
+    member_h = np.where(valid, state.current_h[safe], -1).astype(np.int64)
     # max h wins, ties to the smaller agent id
     key = np.where(valid, member_h * (state.n_agents + 1) - teams, _NEG_KEY)
     winner_col = np.argmax(key, axis=1)
@@ -346,7 +394,7 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     if config.self_citation:
         amat = state.authors[:p]
         valid = amat >= 0
-        author_h = np.where(valid, state.current_h[np.where(valid, amat, 0)], _NEG_KEY)
+        author_h = state.current_h[np.where(valid, amat, 0)]  # padding masked below
         lead = author_h - state.citations[:p, None]
         near_core = (((lead == 1) | (lead == 2)) & valid).any(axis=1)
         gained[live & near_core] += 1
@@ -356,7 +404,22 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
         extra = np.floor(state.boost_anchor[:p] * config.boost_size + 0.5).astype(np.int64)
         gained[first] += extra[first]
 
-    state.citations[:p] += gained
+    gained += state.citations[:p]
+    state.citations[:p] = _checked_counts(gained)
+
+
+def _checked_counts(counts: np.ndarray) -> np.ndarray:
+    """The citation counts, or a DataError if one would not fit in int32.
+
+    The config limits keep expected counts at or below half of ``COUNT_MAX``;
+    this catches the tail of a draw (a negative binomial's is unbounded).
+    """
+    if counts.max(initial=0) > COUNT_MAX:
+        raise DataError(
+            f"a paper's citation count would exceed {COUNT_MAX}; lower the citation "
+            "mean or the boost size, or raise the dispersion"
+        )
+    return counts
 
 
 def _recompute_indices(state: SimulationState) -> None:
@@ -370,12 +433,8 @@ def _recompute_indices(state: SimulationState) -> None:
     so ties go to the smaller id, as in ``model.h_core``.
     """
     n = state.n_agents
-    if state.citations.size == 0:  # no papers can ever exist under this config
-        state.current_h = np.zeros(n, dtype=np.int64)
-        state.current_h_alpha = np.zeros(n, dtype=np.int64)
-        return
-    papers = state.agent_papers
-    cit = np.where(papers >= 0, state.citations[papers], -1)  # empty slots: -1
+    papers = state.agent_papers[:, : state.agent_paper_counts.max()]
+    cit = state.citations[papers]  # empty slots hold the sentinel: -1
 
     h = state.current_h.copy()
     rows, sub = np.arange(n), cit
@@ -390,7 +449,7 @@ def _recompute_indices(state: SimulationState) -> None:
     at_h = cit == h[:, None]
     room = h - above.sum(axis=1)
     in_core = above | (at_h & (np.cumsum(at_h, axis=1, dtype=np.int32) <= room[:, None]))
-    own_alpha = state.alpha_author[papers] == np.arange(n)[:, None]
+    own_alpha = state.alpha_author[papers] == np.arange(n, dtype=np.int32)[:, None]
     state.current_h_alpha = (in_core & own_alpha).sum(axis=1)
 
 
@@ -399,7 +458,7 @@ def _reassign_alpha_authors(state: SimulationState) -> None:
     p = state.n_papers
     amat = state.authors[:p]
     valid = amat >= 0
-    author_h = np.where(valid, state.current_h[np.where(valid, amat, 0)], -1)
+    author_h = np.where(valid, state.current_h[np.where(valid, amat, 0)], -1).astype(np.int64)
     key = np.where(valid, author_h * (state.n_agents + 1) - amat, _NEG_KEY)
     winner_col = np.argmax(key, axis=1)
     state.alpha_author[:p] = amat[np.arange(p), winner_col]

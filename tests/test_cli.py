@@ -105,13 +105,33 @@ def test_unknown_flag_is_usage_error():
         ["--boost-size", "inf"],
         ["--seed", str(2**64 + 1)],  # would alias seed 1 if wrapped to 64 bits
         ["--seed", "-1"],
+        # citation counts are int32: these would wrap or overflow a draw
+        ["--citations-mean", "1e9", "--agents", "10", "--periods", "30", "--runs", "1"],
+        ["--citations-mean", "1e300"],
+        ["--boost-size", "1e300"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["--out", str(tmp_path / "x.csv"), "--seed", "1", *flags])
+        main(["--out", str(out), "--seed", "1", *flags])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    # the message names the flag at fault, not the engine field behind it
+    flag = {"--citations-dist": "--citations-dispersion"}.get(flags[0], flags[0])
+    message = capsys.readouterr().err.split("error:", 1)[1]
+    assert message.lstrip().startswith(flag) or f"argument {flag}:" in message
+    assert not re.search(r"\b(collab_share|master_seed|max_mean|citation_dispersion)\b", message)
+    assert not out.exists()  # nothing ran, so no count was written
+
+
+def test_a_count_past_int32_in_a_draw_is_a_runtime_error(tmp_path, capsys):
+    # within the config limits, but the negative binomial tail passes 2**31 - 1
+    out = tmp_path / "x.csv"
+    flags = ["--agents", "20", "--runs", "1", "--periods", "5", "--citations-dist", "nbinomial",
+             "--citations-dispersion", "0.01", "--citations-mean", "1e8"]
+    assert main(["--out", str(out), "--seed", "1", *flags]) == 1
+    assert "error: a paper's citation count would exceed 2147483647" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_deterministic_outputs(tmp_path, capsys):

@@ -53,6 +53,10 @@ def test_negative_binomial_moments():
         (CountKind.NBINOMIAL, 10.0, None),
         (CountKind.NBINOMIAL, 10.0, 0.0),
         (CountKind.NBINOMIAL, 10.0, -2.0),
+        (CountKind.POISSON, math.inf, None),
+        (CountKind.POISSON, math.nan, None),
+        (CountKind.NBINOMIAL, math.inf, 2.0),
+        (CountKind.NBINOMIAL, math.nan, 2.0),
     ],
 )
 def test_invalid_count_parameters(kind, mean, dispersion):
@@ -61,6 +65,13 @@ def test_invalid_count_parameters(kind, mean, dispersion):
     baseline = scenario_config("baseline", master_seed=1)
     with pytest.raises(ConfigurationError):
         replace(baseline, paper_kind=kind, paper_mean=mean, paper_dispersion=dispersion)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("kind", list(CountKind))
+def test_draw_counts_rejects_any_bad_mean_in_an_array(kind, bad):
+    with pytest.raises(ConfigurationError):
+        draw_counts(kind, [1.0, bad, 2.0], np.random.default_rng(0), 2.0)
 
 
 @given(

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import rankdata, spearmanr
 
-from halpha_sim import model
+from halpha_sim import engine, model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import AgingCurve, CountKind
 from halpha_sim.engine import (
+    COUNT_MAX,
     SimulationConfig,
     _recompute_indices,
     cite_papers,
@@ -32,7 +33,7 @@ from halpha_sim.engine import (
     select_collaborators,
     step_period,
 )
-from halpha_sim.errors import ConfigurationError
+from halpha_sim.errors import ConfigurationError, DataError
 from halpha_sim.model import EXTERNAL_AUTHOR
 
 
@@ -95,11 +96,30 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"paper_kind": CountKind.NBINOMIAL, "paper_dispersion": math.inf},
         {"citation_kind": CountKind.NBINOMIAL, "citation_dispersion": math.inf},
         {"n_agents": math.inf},
+        # int32 limits: expected citations per paper and expected table size
+        {"boost_size": 2**10 + 1},
+        {"aging": AgingCurve(3.0, 2**30 / 10 * 1.01, 2.0)},  # periods 5: 10 ages
+        {"n_agents": 2**30},
+        {"paper_mean": 2**30 / 20},
+        {"periods": 2**30},
+        {"n_agents": 10**400},
+        {"periods": 10**400},
     ],
 )
 def test_config_validation(overrides):
     with pytest.raises(ConfigurationError):
         make_config(**overrides)
+
+
+def test_config_rejects_a_citation_mean_that_would_wrap_int32():
+    # at 1e9 expected citations per period, 35 ages of draws exceed 2**31
+    with pytest.raises(ConfigurationError, match=r"max_mean \* \(periods \+ 5\)"):
+        scenario_config("baseline", 3, agents=10, runs=1, periods=30, citations_mean=1e9)
+
+
+def test_config_accepts_the_int32_limits():
+    make_config(boost_size=2**10, aging=AgingCurve(3.0, 2**30 / 10, 2.0))
+    make_config(n_agents=2**30 // 10, paper_mean=5.0)
 
 
 def test_config_warns_when_diligence_cannot_bind():
@@ -346,6 +366,45 @@ def test_self_citation_window_of_one_or_two():
     assert state.citations[1] == 6
 
 
+def test_cite_papers_raises_instead_of_wrapping():
+    cfg = quiet_config(boost_size=0.5)
+    state = init_state(cfg, 0)
+    state.current_h = np.array([11, 3, 0, 0], dtype=np.int32)
+    publish(np.array([[0, 1]]), state, cfg)
+    state.citations[0] = COUNT_MAX - 5  # the age-1 boost of 6 would pass the int32 limit
+    state.period += 1
+    with pytest.raises(DataError, match="exceed"):
+        cite_papers(state, cfg)
+    assert state.citations[0] == COUNT_MAX - 5
+
+
+def test_init_state_raises_instead_of_wrapping(monkeypatch):
+    real, calls = engine.draw_counts, []
+
+    def draw(kind, means, rng, dispersion=None, size=None):
+        # the first draw gives the paper counts; every later one is citations
+        calls.append(size)
+        counts = real(kind, means, rng, dispersion, size)
+        return counts if len(calls) == 1 else counts + 2**31
+
+    monkeypatch.setattr(engine, "draw_counts", draw)
+    with pytest.raises(DataError, match="exceed"):
+        init_state(make_config(), 0)
+
+
+def test_counts_at_the_citation_limit_stay_exact():
+    cfg = make_config(
+        runs=1, n_agents=10, periods=30, aging=AgingCurve(3.0, 2**30 / 35, 2.0),
+        boost_size=2**10, self_citation=True, master_seed=3,
+    )
+    state = init_state(cfg, 0)
+    for _ in range(cfg.periods):
+        step_period(state, cfg)
+    cites = state.citations[: state.n_papers]
+    assert cites.max() > 2**27 and cites.min() >= 0
+    _assert_state_matches_model(state)
+
+
 def test_new_papers_receive_no_citations_in_publication_period():
     cfg = make_config(runs=1, master_seed=88)
     state = init_state(cfg, 0)
@@ -478,6 +537,19 @@ def test_engine_indices_match_model_on_random_configs(
         master_seed=seed,
     )
     _assert_run_matches_model(cfg)
+
+
+def test_state_routes_empty_slots_to_a_sentinel_paper():
+    state = init_state(make_config(master_seed=8), 0)
+    capacity = state.published_period.size
+    assert state.citations.dtype == state.alpha_author.dtype == state.current_h.dtype == np.int32
+    assert state.citations.size == state.alpha_author.size == capacity + 1
+    assert state.citations[capacity] == -1
+    assert state.alpha_author[capacity] == EXTERNAL_AUTHOR
+    slot = np.arange(state.agent_papers.shape[1])
+    empty = slot >= state.agent_paper_counts[:, None]
+    assert empty.any() and (state.agent_papers[empty] == capacity).all()
+    assert (state.agent_papers[~empty] < state.n_papers).all()
 
 
 def test_recompute_indices_resolves_ties_at_h_by_paper_id():
