@@ -20,11 +20,10 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class GroupSplit:
-    """Agent ids below, above, and exactly at the run's median initial h."""
+    """Agent ids below and above the run's median initial h."""
 
     low: np.ndarray
     high: np.ndarray
-    excluded: np.ndarray
     median: int
 
 
@@ -36,13 +35,12 @@ def split_groups(initial_h) -> GroupSplit:
     median = int(np.sort(values)[(values.size - 1) // 2])
     low = np.flatnonzero(values < median)
     high = np.flatnonzero(values > median)
-    excluded = np.flatnonzero(values == median)
     if low.size == 0 and high.size == 0:
         warnings.warn(
             "every agent has the same initial h; low and high groups are empty",
             stacklevel=2,
         )
-    return GroupSplit(low=low, high=high, excluded=excluded, median=median)
+    return GroupSplit(low=low, high=high, median=median)
 
 
 @dataclass(frozen=True)
@@ -74,18 +72,15 @@ def _mean_over_runs(per_run: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
 
-def aggregate(runs: list[RunResult], splits: list[GroupSplit] | None = None) -> ExperimentResult:
+def aggregate(runs: list[RunResult]) -> ExperimentResult:
     """Average per-run group means of h-alpha across runs, period by period.
 
-    ``splits`` defaults to ``split_groups`` on each run's initial h. Groups
-    are fixed by initial h and never reassigned in later periods.
+    Each run's groups come from ``split_groups`` on its initial h; they are
+    fixed and never reassigned in later periods.
     """
     if not runs:
         raise DataError("no runs to aggregate")
-    if splits is None:
-        splits = [split_groups(run.initial_h) for run in runs]
-    if len(splits) != len(runs):
-        raise DataError(f"got {len(splits)} group splits for {len(runs)} runs")
+    splits = [split_groups(run.initial_h) for run in runs]
 
     n_periods = len(runs[0].periods)
     for run in runs:

@@ -25,6 +25,11 @@ class CountKind(str, Enum):
     NBINOMIAL = "nbinomial"
 
 
+# Smallest negative binomial dispersion; numpy refuses a draw below about
+# 1.4e-18 at a mean of 2**30, the largest the configs allow.
+DISPERSION_MIN = 1e-12
+
+
 def _validate_count_params(
     kind: CountKind,
     mean: float,
@@ -32,18 +37,18 @@ def _validate_count_params(
     mean_name: str = "count mean",
     dispersion_name: str = "dispersion",
 ) -> None:
-    """Reject a negative or non-finite mean, or a negative binomial without a
-    finite positive dispersion (its size parameter: Var = mean + mean**2 / dispersion).
-    The names are those of the checked values in the error message."""
+    """Reject a negative or non-finite mean, or a negative binomial without a finite
+    dispersion of at least DISPERSION_MIN (its size parameter: Var = mean + mean**2 /
+    dispersion). The names are those of the checked values in the error message."""
     if not 0 <= mean < math.inf:
         raise ConfigurationError(
             f"{mean_name} must be finite and nonnegative, got {mean}", mean_name
         )
     if kind is CountKind.NBINOMIAL:
-        if dispersion is None or not 0 < dispersion < math.inf:
+        if dispersion is None or not DISPERSION_MIN <= dispersion < math.inf:
             raise ConfigurationError(
-                f"{dispersion_name} must be finite and positive for the negative binomial, "
-                f"got {dispersion}",
+                f"{dispersion_name} must be finite and at least {DISPERSION_MIN} for the "
+                f"negative binomial, got {dispersion}",
                 dispersion_name,
             )
 

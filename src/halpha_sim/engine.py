@@ -35,8 +35,6 @@ from .distributions import (
 from .errors import ConfigurationError, DataError
 from .model import EXTERNAL_AUTHOR
 
-_NEG_KEY = np.iinfo(np.int64).min // 2
-
 # Pre-simulation papers are one to five periods old at initialization.
 INITIAL_AGE_MAX = 5
 
@@ -48,11 +46,6 @@ COUNT_MAX = 2**31 - 1
 EXPECTED_MAX = 2**30
 # Upper limit on boost_size: round(h * boost_size) stays exact in int64.
 BOOST_SIZE_MAX = 2**10
-
-
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
 @dataclass(frozen=True)
@@ -141,12 +134,11 @@ class SimulationConfig:
 class PeriodMetrics:
     """Per-period snapshot of one run: indices per agent, plus the teams formed."""
 
-    run_index: int
     period: int
     h: np.ndarray  # (n_agents,)
     h_alpha: np.ndarray  # (n_agents,)
     paper_counts: np.ndarray  # (n_agents,)
-    teams: np.ndarray  # (n_teams, coauthors_mean), -1 padded
+    teams: np.ndarray  # (n_teams, team width), -1 padded
 
 
 @dataclass
@@ -173,7 +165,6 @@ class SimulationState:
     counts keep every value below ``COUNT_MAX``.
     """
 
-    run_index: int
     period: int
     rng: np.random.Generator
     n_agents: int
@@ -181,7 +172,7 @@ class SimulationState:
     citations: np.ndarray
     published_period: np.ndarray
     alpha_author: np.ndarray
-    boost_anchor: np.ndarray  # max author h at publication, frozen
+    boost_anchor: np.ndarray  # max author h at publication, frozen; 0 in the back catalog
     authors: np.ndarray
     agent_papers: np.ndarray
     agent_paper_counts: np.ndarray
@@ -208,7 +199,12 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 
 def _collaborator_count(config: SimulationConfig) -> int:
-    return min(config.n_agents, round_half_away(config.collab_share * config.n_agents))
+    return min(config.n_agents, math.floor(config.collab_share * config.n_agents + 0.5))
+
+
+def _team_width(config: SimulationConfig) -> int:
+    """Columns of a team row: a team never holds more than the publishers."""
+    return min(config.coauthors_mean, config.n_agents)
 
 
 def _teams_per_period(config: SimulationConfig) -> int:
@@ -253,10 +249,8 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
     capacity = total_initial + config.periods * _teams_per_period(config)
     if capacity >= COUNT_MAX:  # the sentinel's id must fit too
         raise DataError(f"{capacity} papers exceed the table limit of {COUNT_MAX - 1}")
-    width = max(1, config.coauthors_mean)
 
     state = SimulationState(
-        run_index=run_index,
         period=0,
         rng=rng,
         n_agents=n,
@@ -265,7 +259,7 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         published_period=np.zeros(capacity, dtype=np.int64),
         alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
         boost_anchor=np.zeros(capacity, dtype=np.int64),
-        authors=np.full((capacity, width), -1, dtype=np.int64),
+        authors=np.full((capacity, _team_width(config)), -1, dtype=np.int64),
         agent_papers=np.full(
             (n, int(paper_counts.max(initial=0)) + config.periods), capacity, dtype=np.int64
         ),
@@ -287,7 +281,6 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
 
     _recompute_indices(state)
     state.initial_h = state.current_h.copy()
-    state.boost_anchor[:total_initial] = state.initial_h[owner]
 
     if config.diligence_correlation > 0:
         state.diligence_z = rank_normal_scores(state.initial_h)
@@ -325,7 +318,7 @@ def form_teams(
     shuffled rest into the open slots.
     """
     m = len(collaborators)
-    co = config.coauthors_mean
+    co = _team_width(config)
     if m == 0:
         return np.empty((0, co), dtype=np.int64)
     k = -(-m // co)
@@ -347,21 +340,13 @@ def publish(teams: np.ndarray, state: SimulationState, config: SimulationConfig)
     k = teams.shape[0]
     if k == 0:
         return
-    valid = teams >= 0
-    safe = np.where(valid, teams, 0)
-    member_h = np.where(valid, state.current_h[safe], -1).astype(np.int64)
-    # max h wins, ties to the smaller agent id
-    key = np.where(valid, member_h * (state.n_agents + 1) - teams, _NEG_KEY)
-    winner_col = np.argmax(key, axis=1)
-    alpha = teams[np.arange(k), winner_col]
-
     ids = state.n_papers + np.arange(k)
     state.published_period[ids] = state.period
-    state.alpha_author[ids] = alpha
-    state.boost_anchor[ids] = member_h.max(axis=1)
+    state.alpha_author[ids], state.boost_anchor[ids] = _credited_authors(teams, state.current_h)
     state.authors[ids, : teams.shape[1]] = teams
     state.n_papers += k
 
+    valid = teams >= 0
     members = teams[valid]
     paper_of_member = np.repeat(ids, valid.sum(axis=1))
     state.agent_papers[members, state.agent_paper_counts[members]] = paper_of_member
@@ -392,11 +377,8 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     )
 
     if config.self_citation:
-        amat = state.authors[:p]
-        valid = amat >= 0
-        author_h = state.current_h[np.where(valid, amat, 0)]  # padding masked below
-        lead = author_h - state.citations[:p, None]
-        near_core = (((lead == 1) | (lead == 2)) & valid).any(axis=1)
+        lead = _member_h(state.authors[:p], state.current_h) - state.citations[:p, None]
+        near_core = ((lead == 1) | (lead == 2)).any(axis=1)  # padding leads by -1 or less
         gained[live & near_core] += 1
 
     if config.boost_size > 0:
@@ -453,15 +435,26 @@ def _recompute_indices(state: SimulationState) -> None:
     state.current_h_alpha = (in_core & own_alpha).sum(axis=1)
 
 
+def _member_h(rows: np.ndarray, current_h: np.ndarray) -> np.ndarray:
+    """Current h of each agent in rows of -1-padded agent ids; padding reads -1."""
+    return np.append(current_h, -1)[rows]
+
+
+def _credited_authors(rows: np.ndarray, current_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of -1-padded agent ids (at least one member per row), the
+    member with the highest current h, ties to the smaller id, and that h:
+    ``model.determine_alpha_author`` on every row at once."""
+    member_h = _member_h(rows, current_h)
+    # higher h first, then the smaller id; padding's key is -n, below every member's
+    key = member_h.astype(np.int64) * (current_h.size + 1) - rows
+    winner = (np.arange(rows.shape[0]), np.argmax(key, axis=1))
+    return rows[winner], member_h[winner]
+
+
 def _reassign_alpha_authors(state: SimulationState) -> None:
     """Re-credit every paper to its currently highest-h author (ties to smaller id)."""
     p = state.n_papers
-    amat = state.authors[:p]
-    valid = amat >= 0
-    author_h = np.where(valid, state.current_h[np.where(valid, amat, 0)], -1).astype(np.int64)
-    key = np.where(valid, author_h * (state.n_agents + 1) - amat, _NEG_KEY)
-    winner_col = np.argmax(key, axis=1)
-    state.alpha_author[:p] = amat[np.arange(p), winner_col]
+    state.alpha_author[:p] = _credited_authors(state.authors[:p], state.current_h)[0]
 
 
 def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetrics:
@@ -476,7 +469,6 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
         _reassign_alpha_authors(state)
         _recompute_indices(state)
     return PeriodMetrics(
-        run_index=state.run_index,
         period=state.period,
         h=state.current_h.copy(),
         h_alpha=state.current_h_alpha.copy(),

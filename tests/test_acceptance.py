@@ -17,6 +17,7 @@ legitimate (a credited paper at the h-core boundary can be overtaken while
 h stays put) and are reported as a figure, each one confirmed by the oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from halpha_sim import model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import AgingCurve, expected_citations
-from halpha_sim.engine import init_state, round_half_away, run_experiment, step_period
+from halpha_sim.engine import init_state, run_experiment, step_period
 
 SEEDS = list(range(20))
 SCENARIOS = ("baseline", "boost", "diligence", "strategic")
@@ -67,7 +68,7 @@ class Violations:
 
 
 def check_invariants(runs, cfg, tally: Violations) -> None:
-    expected_members = min(cfg.n_agents, round_half_away(cfg.collab_share * cfg.n_agents))
+    expected_members = min(cfg.n_agents, math.floor(cfg.collab_share * cfg.n_agents + 0.5))
     for run in runs:
         h = np.stack([run.initial_h] + [pm.h for pm in run.periods])
         h_alpha = np.stack([pm.h_alpha for pm in run.periods])

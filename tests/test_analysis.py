@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from halpha_sim.analysis import GroupSplit, aggregate, export_csv, split_groups
+from halpha_sim.analysis import aggregate, export_csv, split_groups
 from halpha_sim.engine import PeriodMetrics, RunResult
 from halpha_sim.errors import DataError
 
@@ -15,7 +15,6 @@ def make_run(run_index, initial_h, h_alpha_by_period):
     n = len(initial_h)
     metrics = [
         PeriodMetrics(
-            run_index=run_index,
             period=t + 1,
             h=np.asarray(values) + 3,
             h_alpha=np.asarray(values, dtype=float),
@@ -27,13 +26,14 @@ def make_run(run_index, initial_h, h_alpha_by_period):
     return RunResult(run_index=run_index, initial_h=np.asarray(initial_h), periods=metrics)
 
 
-def explicit_split(low, high, excluded=(), median=0):
-    return GroupSplit(
-        low=np.asarray(low, dtype=int),
-        high=np.asarray(high, dtype=int),
-        excluded=np.asarray(excluded, dtype=int),
-        median=median,
-    )
+# Initial h of five agents: low {0, 1}, high {3, 4}, agent 2 at the median (5)
+# in neither group, so its h-alpha (99) never reaches a mean.
+INITIAL_H = [1, 2, 5, 9, 9]
+
+
+def at_median(split, n):
+    """Agents in neither group: those exactly at the median."""
+    return np.setdiff1d(np.arange(n), np.concatenate([split.low, split.high]))
 
 
 # --- split_groups ------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_split_one_to_thirteen():
     assert split.median == 7
     assert split.low.size == 6
     assert split.high.size == 6
-    assert split.excluded.size == 1
+    assert at_median(split, 13).size == 1
 
 
 def test_split_uses_lower_median_for_even_counts():
@@ -52,7 +52,7 @@ def test_split_uses_lower_median_for_even_counts():
     assert split.median == 2
     assert split.low.tolist() == [0]
     assert split.high.tolist() == [2, 3]
-    assert split.excluded.tolist() == [1]
+    assert at_median(split, 4).tolist() == [1]
 
 
 def test_split_all_equal_warns_and_empties():
@@ -60,7 +60,7 @@ def test_split_all_equal_warns_and_empties():
         split = split_groups([4, 4, 4, 4])
     assert split.low.size == 0
     assert split.high.size == 0
-    assert split.excluded.size == 4
+    assert at_median(split, 4).size == 4
 
 
 def test_split_requires_agents():
@@ -72,19 +72,17 @@ def test_split_requires_agents():
 
 
 def test_aggregate_averages_per_run_means():
-    # low agents 0,1; high agents 2,3
-    run_a = make_run(0, [1, 2, 9, 9], [[2, 2, 5, 5], [4, 4, 7, 7]])
-    run_b = make_run(1, [1, 2, 9, 9], [[4, 4, 6, 6], [6, 6, 9, 9]])
-    splits = [explicit_split([0, 1], [2, 3])] * 2
-    result = aggregate([run_a, run_b], splits)
+    run_a = make_run(0, INITIAL_H, [[2, 2, 99, 5, 5], [4, 4, 99, 7, 7]])
+    run_b = make_run(1, INITIAL_H, [[4, 4, 99, 6, 6], [6, 6, 99, 9, 9]])
+    result = aggregate([run_a, run_b])
     assert result.mean_h_alpha_low.tolist() == [3.0, 5.0]
     assert result.mean_h_alpha_high.tolist() == [5.5, 8.0]
     assert result.difference.tolist() == [2.5, 3.0]
 
 
 def test_aggregate_single_run_is_identity():
-    run = make_run(0, [1, 2, 9, 9], [[2, 2, 5, 7], [4, 4, 7, 9]])
-    result = aggregate([run], [explicit_split([0, 1], [2, 3])])
+    run = make_run(0, INITIAL_H, [[2, 2, 99, 5, 7], [4, 4, 99, 7, 9]])
+    result = aggregate([run])
     assert result.mean_h_alpha_low.tolist() == [2.0, 4.0]
     assert result.mean_h_alpha_high.tolist() == [6.0, 8.0]
 
@@ -136,8 +134,6 @@ def test_aggregate_rejects_mismatched_period_counts():
 def test_aggregate_rejects_empty_input():
     with pytest.raises(DataError):
         aggregate([])
-    with pytest.raises(DataError):
-        aggregate([make_run(0, [1, 9], [[1, 5]])], splits=[])
 
 
 # --- export_csv --------------------------------------------------------------
@@ -165,10 +161,7 @@ def test_export_row_count_and_endings():
 
 
 def test_export_orders_rows_and_formats_six_decimals():
-    result = aggregate(
-        [make_run(0, [1, 2, 9, 9], [[2, 2, 5, 5], [4, 4, 7, 7]])],
-        [explicit_split([0, 1], [2, 3])],
-    )
+    result = aggregate([make_run(0, INITIAL_H, [[2, 2, 99, 5, 5], [4, 4, 99, 7, 7]])])
     lines = export_csv(result).decode("utf-8").splitlines()
     assert lines[1] == "1,low,2.000000"
     assert lines[2] == "1,high,5.000000"
@@ -193,8 +186,9 @@ def test_export_round_trips_at_six_decimals():
 
 
 def test_export_empty_group_leaves_value_blank():
-    run = make_run(0, [5, 5, 5, 5], [[1, 1, 2, 2]])
-    result = aggregate([run], [explicit_split([], [0, 1, 2, 3])])
+    # median 5: nobody below it, agents 3 and 4 above
+    run = make_run(0, [5, 5, 5, 9, 9], [[99, 99, 99, 1, 2]])
+    result = aggregate([run])
     lines = export_csv(result).decode("utf-8").splitlines()
     assert lines[1] == "1,low,"
     assert lines[2] == "1,high,1.500000"

@@ -109,6 +109,11 @@ def test_unknown_flag_is_usage_error():
         ["--citations-mean", "1e9", "--agents", "10", "--periods", "30", "--runs", "1"],
         ["--citations-mean", "1e300"],
         ["--boost-size", "1e300"],
+        # below the negative binomial's dispersion floor numpy rejects the draw
+        ["--papers-dispersion", "1e-300", "--papers-dist", "nbinomial",
+         "--agents", "10", "--runs", "1", "--periods", "3"],
+        ["--citations-dispersion", "1e-300", "--citations-dist", "nbinomial",
+         "--agents", "10", "--runs", "1", "--periods", "3"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
@@ -122,6 +127,19 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
     assert message.lstrip().startswith(flag) or f"argument {flag}:" in message
     assert not re.search(r"\b(collab_share|master_seed|max_mean|citation_dispersion)\b", message)
     assert not out.exists()  # nothing ran, so no count was written
+
+
+@pytest.mark.parametrize("scenario", [[], ["--strategic", "--update-alpha", "--self-citations"]])
+def test_team_width_is_capped_at_the_population(tmp_path, capsys, scenario):
+    # a team never holds more than the 10 agents, so any larger --coauthors
+    # is the same experiment; 10**9 columns would ask for hundreds of GB
+    flags = ["--agents", "10", "--seed", "3", "--per-run", *scenario]
+    outputs = []
+    for coauthors in ("10", "1000000000"):
+        out = tmp_path / f"c{coauthors}.csv"
+        assert main([*flags, "--coauthors", coauthors, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), per_run_path(out).read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_a_count_past_int32_in_a_draw_is_a_runtime_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from scipy.stats import fisk
 from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import (
     AgingCurve,
+    DISPERSION_MIN,
     CountKind,
     _log_logistic_density,
     draw_counts,
@@ -57,6 +58,7 @@ def test_negative_binomial_moments():
         (CountKind.POISSON, math.nan, None),
         (CountKind.NBINOMIAL, math.inf, 2.0),
         (CountKind.NBINOMIAL, math.nan, 2.0),
+        (CountKind.NBINOMIAL, 10.0, 1e-300),  # below DISPERSION_MIN
     ],
 )
 def test_invalid_count_parameters(kind, mean, dispersion):
@@ -65,6 +67,13 @@ def test_invalid_count_parameters(kind, mean, dispersion):
     baseline = scenario_config("baseline", master_seed=1)
     with pytest.raises(ConfigurationError):
         replace(baseline, paper_kind=kind, paper_mean=mean, paper_dispersion=dispersion)
+
+
+def test_negative_binomial_draws_at_the_dispersion_floor_and_the_largest_mean():
+    # 2**30 is the largest mean a config allows; numpy's own limit is near 1.4e-18
+    draws = draw_counts(CountKind.NBINOMIAL, [0.0, 1.0, 2.0**30], np.random.default_rng(0),
+                        DISPERSION_MIN, size=(50, 3))
+    assert draws.min() >= 0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])

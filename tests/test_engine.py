@@ -28,7 +28,6 @@ from halpha_sim.engine import (
     init_state,
     publish,
     rank_normal_scores,
-    round_half_away,
     run_experiment,
     select_collaborators,
     step_period,
@@ -127,13 +126,6 @@ def test_config_warns_when_diligence_cannot_bind():
         make_config(diligence_correlation=0.5, collab_share=1.0)
     # the warning points at the code that built the config, not the dataclass __init__
     assert [w.filename for w in record] == [__file__]
-
-
-def test_round_half_away():
-    assert round_half_away(2.5) == 3
-    assert round_half_away(2.4) == 2
-    assert round_half_away(-2.5) == -3
-    assert round_half_away(5.5) == 6
 
 
 # --- initialization ----------------------------------------------------------
@@ -463,12 +455,34 @@ def _assert_state_matches_model(state):
         assert state.current_h_alpha[agent] == model.h_alpha(agent, triples, h)
 
 
+def _members(row) -> list[int]:
+    return [a for a in row.tolist() if a >= 0]
+
+
+def _assert_credit_matches_model(state, first_new: int, h_before, dynamic_alpha: bool):
+    # a new paper credits determine_alpha_author at the h its team had when it
+    # published; under dynamic_alpha that credit is replaced in the same period
+    for pid in range(first_new, state.n_papers):
+        alpha = model.determine_alpha_author(_members(state.authors[pid]), h_before)
+        assert state.boost_anchor[pid] == h_before[alpha]
+        if not dynamic_alpha:
+            assert state.alpha_author[pid] == alpha
+    if dynamic_alpha:
+        h = state.current_h.tolist()
+        for pid in range(state.n_papers):
+            assert state.alpha_author[pid] == model.determine_alpha_author(
+                _members(state.authors[pid]), h
+            )
+
+
 def _assert_run_matches_model(cfg):
     state = init_state(cfg, 0)
     _assert_state_matches_model(state)
     for _ in range(cfg.periods):
+        first_new, h_before = state.n_papers, state.current_h.tolist()
         step_period(state, cfg)
         _assert_state_matches_model(state)
+        _assert_credit_matches_model(state, first_new, h_before, cfg.dynamic_alpha)
 
 
 @pytest.mark.parametrize(

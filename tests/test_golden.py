@@ -38,6 +38,10 @@ CASES = {
         *SMALL, "--update-alpha", "--self-citations", "--citations-dist", "nbinomial",
         "--citations-dispersion", "2", "--seed", "105",
     ],
+    "strategic_dynamic": [
+        *SMALL, "--strategic", "--update-alpha", "--self-citations", "--coauthors", "5",
+        "--seed", "107",
+    ],
     "config_file": ["--per-run"],
 }
 
@@ -72,6 +76,11 @@ GOLDEN = {
         "7db54cda46b1313a90b9131405aa8b08efd72e5618665945f72073c72b596da2",
         "2f387e9ee11b6f9aeaffc22cd11e44d0bd91813ca8ed579f85bcf6e73fcbb714",
         "da9ca7c13287a27f25cff52c29be6a3924931da6124d5aac8964c1fa41c64bd2",
+    ),
+    "strategic_dynamic": (
+        "cb2e4672dc81c6a293ed7376abd17e4e37d7cd898afc6a98f51801ac276e6a3f",
+        "59e8e2d4400501d6daf5c2201b7b5a759d046b97212fe5ba75057a6089259729",
+        "4dc5efcffda039582a0a40589f2943b859e4c57a64a88b30c42831056b275622",
     ),
 }
 
