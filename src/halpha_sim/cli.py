@@ -207,13 +207,13 @@ def _load_config_file(parser: argparse.ArgumentParser, path: Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         parser.error(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"config file {path} is not valid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        parser.error(f"config file {path} cannot be read as UTF-8 JSON: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(_KEYS)
     if unknown:
-        parser.error(f"unknown config file keys: {sorted(unknown)}")
+        parser.error(f"config file {path} has unknown keys: {sorted(unknown)}")
     return raw
 
 

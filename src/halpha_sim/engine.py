@@ -338,8 +338,6 @@ def form_teams(
 def publish(teams: np.ndarray, state: SimulationState, config: SimulationConfig) -> None:
     """Append one zero-citation paper per team, crediting the highest-h member."""
     k = teams.shape[0]
-    if k == 0:
-        return
     ids = state.n_papers + np.arange(k)
     state.published_period[ids] = state.period
     state.alpha_author[ids], state.boost_anchor[ids] = _credited_authors(teams, state.current_h)
@@ -363,8 +361,6 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     citation period; papers from before the simulation never see it.
     """
     p = state.n_papers
-    if p == 0:
-        return
     age = state.period - state.published_period[:p]
     live = age >= 1
 
@@ -382,9 +378,9 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
         gained[live & near_core] += 1
 
     if config.boost_size > 0:
-        first = age == 1
-        extra = np.floor(state.boost_anchor[:p] * config.boost_size + 0.5).astype(np.int64)
-        gained[first] += extra[first]
+        first = np.flatnonzero(age == 1)
+        extra = np.floor(state.boost_anchor[first] * config.boost_size + 0.5)
+        gained[first] += extra.astype(np.int64)
 
     gained += state.citations[:p]
     state.citations[:p] = _checked_counts(gained)
@@ -404,15 +400,17 @@ def _checked_counts(counts: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _recompute_indices(state: SimulationState) -> None:
-    """Refresh every agent's current h and h-alpha from the citation table.
+def _recompute_indices(state: SimulationState, recredit: bool = False) -> None:
+    """Raise every agent's current h, re-credit papers if ``recredit``, count h-alpha.
 
     h is raised from ``current_h``, which must not exceed the true h: it is 0
     in ``init_state``, and citations and paper sets only grow, so h never
     falls. An agent's h rises past k exactly when more than k of its papers
-    have more than k citations. The h-core is every paper above h plus the
-    earliest papers at exactly h; a row lists paper ids in increasing order,
-    so ties go to the smaller id, as in ``model.h_core``.
+    have more than k citations. ``recredit`` (``--update-alpha``) credits
+    every paper to its author with the highest new h before h-alpha is
+    counted. The h-core is every paper above h plus the earliest papers at
+    exactly h; a row lists paper ids in increasing order, so ties go to the
+    smaller id, as in ``model.h_core``.
     """
     n = state.n_agents
     papers = state.agent_papers[:, : state.agent_paper_counts.max()]
@@ -425,6 +423,8 @@ def _recompute_indices(state: SimulationState) -> None:
         rows, sub = rows[rises], sub[rises]
         h[rows] += 1
     state.current_h = h
+    if recredit:
+        _reassign_alpha_authors(state)
 
     # at most h papers lie above h, or h would be at least h + 1
     above = cit > h[:, None]
@@ -458,16 +458,14 @@ def _reassign_alpha_authors(state: SimulationState) -> None:
 
 
 def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetrics:
-    """Advance one period: select, team up, publish, cite, re-measure."""
+    """Advance one period: select, team up, publish, cite, then one index pass
+    that raises h, re-credits every paper under ``dynamic_alpha`` and counts h-alpha."""
     state.period += 1
     collaborators = select_collaborators(state, config)
     teams = form_teams(collaborators, config, state)
     publish(teams, state, config)
     cite_papers(state, config)
-    _recompute_indices(state)
-    if config.dynamic_alpha:
-        _reassign_alpha_authors(state)
-        _recompute_indices(state)
+    _recompute_indices(state, config.dynamic_alpha)
     return PeriodMetrics(
         period=state.period,
         h=state.current_h.copy(),

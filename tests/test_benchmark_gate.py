@@ -81,7 +81,7 @@ def test_tracer_finds_every_layer(tmp_path):
     assert tracer.absent == set()
     summary = tracer.summary(1)
     assert summary["engine.step_period.calls"] == 3 * 6
-    # init_state once and step_period twice (update-alpha) per period, per run
-    assert summary["engine.recompute_indices.calls"] == 3 * (1 + 2 * 6)
+    # init_state once and step_period once per period, update-alpha too, per run
+    assert summary["engine.recompute_indices.calls"] == 3 * (1 + 6)
     assert summary["engine.recompute_indices.cells"] > 0
     assert summary["engine.cite_papers.live_papers"] > 0

@@ -200,12 +200,20 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert config.periods == 3
 
 
-def test_config_file_unknown_key_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b'{"banana": 1}', b"{", b"[1]", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["unknown-key", "truncated", "array", "not-utf8", "nested-too-deep"],
+)
+def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
     cfg_file = tmp_path / "params.json"
-    cfg_file.write_text(json.dumps({"banana": 1}))
+    cfg_file.write_bytes(content)
+    out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
+        main(["--config", str(cfg_file), "--out", str(out)])
     assert exc.value.code == 2
+    assert f"config file {cfg_file}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
