@@ -126,20 +126,17 @@ def export_csv(result: ExperimentResult, per_run: bool = False) -> bytes:
     group). With ``per_run`` a leading ``run`` column is added and one row
     triple is emitted per run and period.
     """
-    lines = []
+    header = "period,group,mean_h_alpha"
+    blocks = zip(result.periods, result.mean_h_alpha_low, result.mean_h_alpha_high)
     if per_run:
-        lines.append("run,period,group,mean_h_alpha")
-        for r, run_index in enumerate(result.run_indices):
-            for t, period in enumerate(result.periods):
-                low = result.per_run_low[r, t]
-                high = result.per_run_high[r, t]
-                lines.append(f"{run_index},{period},low,{_fmt(low)}")
-                lines.append(f"{run_index},{period},high,{_fmt(high)}")
-                lines.append(f"{run_index},{period},diff,{_fmt(high - low)}")
-    else:
-        lines.append("period,group,mean_h_alpha")
-        for t, period in enumerate(result.periods):
-            lines.append(f"{period},low,{_fmt(result.mean_h_alpha_low[t])}")
-            lines.append(f"{period},high,{_fmt(result.mean_h_alpha_high[t])}")
-            lines.append(f"{period},diff,{_fmt(result.difference[t])}")
+        header = "run," + header
+        blocks = (
+            (f"{r},{period}", low, high)
+            for r, lows, highs in zip(result.run_indices, result.per_run_low, result.per_run_high)
+            for period, low, high in zip(result.periods, lows, highs)
+        )
+    lines = [header]
+    for lead, low, high in blocks:
+        lines += [f"{lead},low,{_fmt(low)}", f"{lead},high,{_fmt(high)}",
+                  f"{lead},diff,{_fmt(high - low)}"]
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,11 +1,12 @@
 """Command-line front end: scenario presets, flags, and result files.
 
 Every parameter is declared once, as a row of ``PARAMETERS``; its flag, its
-JSON config key and type check, its line in the config echo and its
-SimulationConfig field all come from that row. Resolution order for every
-parameter: scenario preset defaults, then values from an optional JSON config
-file, then command-line flags. The fully resolved configuration is echoed
-next to the results so any run can be reproduced exactly.
+JSON config key, its line in the config echo and its SimulationConfig field
+all come from that row, and SimulationConfig checks its type and range.
+Resolution order for every parameter: scenario preset defaults, then values
+from an optional JSON config file, then command-line flags. The fully
+resolved configuration is echoed next to the results so any run can be
+reproduced exactly.
 """
 
 from __future__ import annotations
@@ -19,20 +20,11 @@ import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable
 
 from .analysis import _fmt, aggregate, export_csv
 from .distributions import AgingCurve, CountKind
 from .engine import SimulationConfig, run_experiment
 from .errors import ConfigurationError, DataError
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 def _finite_float(text: str) -> float:
@@ -46,28 +38,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Kind:
-    """How a parameter type is read from a flag and checked in a JSON file."""
-
-    description: str  # what a JSON value must be, for the usage error
-    accepts: Callable[[object], bool]  # JSON values are checked, never coerced
-    flag: dict  # argparse keyword arguments
-    to_engine: Callable[[object], object] = lambda value: value
-
-
 _DISTS = [k.value for k in CountKind]
-INT = Kind("an integer", _is_int, {"type": int})
-FLOAT = Kind("a finite number", _is_finite, {"type": _finite_float})
-DISPERSION = Kind(
-    "a finite number or null", lambda v: v is None or _is_finite(v), {"type": _finite_float}
-)
-DIST = Kind(
-    " or ".join(map(json.dumps, _DISTS)), lambda v: v in _DISTS, {"choices": _DISTS}, CountKind
-)
-SWITCH = Kind(
-    "true or false", lambda v: isinstance(v, bool), {"action": "store_true", "default": None}
-)
+INT = {"type": int}
+FLOAT = {"type": _finite_float}
+DIST = {"choices": _DISTS}
+SWITCH = {"action": "store_true", "default": None}
 
 
 @dataclass(frozen=True)
@@ -77,7 +52,7 @@ class Param:
     ``aging.<attr>`` for the citation aging curve."""
 
     name: str
-    kind: Kind
+    flag: dict  # argparse keyword arguments
     default: object
     field: str
     help: str
@@ -92,7 +67,7 @@ PARAMETERS = (
     Param("papers_dist", DIST, "poisson", "paper_kind", "distribution of initial paper counts"),
     Param("papers_mean", FLOAT, 10.0, "paper_mean",
           "mean of the initial paper count distribution"),
-    Param("papers_dispersion", DISPERSION, None, "paper_dispersion",
+    Param("papers_dispersion", FLOAT, None, "paper_dispersion",
           "dispersion of the initial paper count distribution (nbinomial only)"),
     Param("citations_dist", DIST, "poisson", "citation_kind",
           "distribution of per-period citation counts"),
@@ -102,7 +77,7 @@ PARAMETERS = (
           "paper age (in periods) at which expected citations peak"),
     Param("citations_speed", FLOAT, 2.0, "aging.speed",
           "steepness of the citation aging curve (must exceed 1)"),
-    Param("citations_dispersion", DISPERSION, None, "citation_dispersion",
+    Param("citations_dispersion", FLOAT, None, "citation_dispersion",
           "dispersion of the citation count distribution (nbinomial only)"),
     Param("alpha_share", FLOAT, 0.33, "alpha_share",
           "share of initial papers credited to their own agent"),
@@ -133,41 +108,44 @@ PRESETS: dict[str, dict] = {
 def scenario_config(name: str, master_seed: int, **overrides) -> SimulationConfig:
     """Engine config for a named scenario, with optional parameter overrides.
 
-    Every value must be of its parameter's kind (an integer for ``runs``, a
-    finite number for ``alpha_share``, ...); SimulationConfig checks ranges.
+    A distribution name (``"poisson"`` or ``"nbinomial"``) becomes its CountKind;
+    every other value reaches SimulationConfig as given, which checks its type and
+    range (an integer of at least 1 for ``runs``, ...).
     """
     if not isinstance(name, str) or name not in PRESETS:
-        raise ConfigurationError(f"unknown scenario {name!r}; choose from {sorted(PRESETS)}")
+        raise ConfigurationError(
+            f"scenario must be one of {sorted(PRESETS)}, got {name!r}", "scenario"
+        )
     unknown = set(overrides) - {p.name for p in PARAMETERS}
     if unknown:
         raise ConfigurationError(f"unknown parameters: {sorted(unknown)}")
-    if not _is_int(master_seed):
-        raise ConfigurationError(f"seed must be an integer, got {master_seed!r}")
     values = {**PRESETS[name], **overrides}
     fields, aging = {"master_seed": master_seed}, {}
     for p in PARAMETERS:
         value = values.get(p.name, p.default)
-        if not p.kind.accepts(value):
-            raise ConfigurationError(f"{p.name} must be {p.kind.description}, got {value!r}")
+        if p.flag is DIST and value in _DISTS:
+            value = CountKind(value)
         group, _, attr = p.field.rpartition(".")
-        (aging if group else fields)[attr] = p.kind.to_engine(value)
+        (aging if group else fields)[attr] = value
     return SimulationConfig(aging=AgingCurve(**aging), **fields)
 
 
 # Keys of a JSON config file, and the flags that override them.
 _KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
 
-# The flag that sets each SimulationConfig and AgingCurve attribute.
+# The flag that sets each SimulationConfig and AgingCurve attribute, and the scenario.
 _FLAG_OF = {p.field.rpartition(".")[2]: "--" + p.name.replace("_", "-") for p in PARAMETERS}
-_FLAG_OF["master_seed"] = "--seed"
+_FLAG_OF.update(master_seed="--seed", scenario="--scenario")
 
 
 def _with_flags(exc: ConfigurationError) -> str:
-    """The error message with the attributes it names replaced by their flags."""
+    """The error message with the attributes it names replaced by their flags,
+    except in the value it reports after ", got "."""
     if not exc.fields:
         return str(exc)
     names = re.compile(r"\b(" + "|".join(exc.fields) + r")\b")
-    return names.sub(lambda m: _FLAG_OF.get(m[0], m[0]), str(exc))
+    head, got, value = str(exc).partition(", got ")
+    return names.sub(lambda m: _FLAG_OF.get(m[0], m[0]), head) + got + value
 
 
 @dataclass(frozen=True)
@@ -194,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--config", type=Path, default=None, metavar="FILE",
         help="JSON file with parameter overrides (flags win over the file)")
     for p in PARAMETERS:
-        add("--" + p.name.replace("_", "-"), help=p.help, **p.kind.flag)
+        add("--" + p.name.replace("_", "-"), help=p.help, **p.flag)
     add("--seed", type=int, help="master seed (drawn from system entropy if omitted)")
     add("--out", type=Path, help="path of the aggregated CSV (required)")
     add("--per-run", action="store_true", default=None,

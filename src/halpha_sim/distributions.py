@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,27 +31,53 @@ class CountKind(str, Enum):
 DISPERSION_MIN = 1e-12
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# A rule is a (test, description) pair: a value is accepted when the test holds.
+_KIND = (lambda v: isinstance(v, CountKind), "a CountKind (poisson or nbinomial)")
+_NONNEGATIVE = (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite nonnegative number")
+_DISPERSION = (lambda v: v is None or _is_real(v) and math.isfinite(v), "a finite number or None")
+_NB_DISPERSION = (lambda v: v is not None and v >= DISPERSION_MIN,  # once _DISPERSION holds
+                  f"at least {DISPERSION_MIN} for the negative binomial")
+
+
+def _check(name: str, value, rule) -> None:
+    test, description = rule
+    if not test(value):
+        raise ConfigurationError(f"{name} must be {description}, got {value!r}", name)
+
+
+def _check_fields(obj, rules: dict) -> None:
+    """Check each field of ``obj`` against its rule in ``rules``, in order; a
+    ConfigurationError names the first field that fails."""
+    for name, rule in rules.items():
+        _check(name, getattr(obj, name), rule)
+
+
 def _validate_count_params(
     kind: CountKind,
     mean: float,
     dispersion: float | None,
+    kind_name: str = "kind",
     mean_name: str = "count mean",
     dispersion_name: str = "dispersion",
 ) -> None:
-    """Reject a negative or non-finite mean, or a negative binomial without a finite
-    dispersion of at least DISPERSION_MIN (its size parameter: Var = mean + mean**2 /
-    dispersion). The names are those of the checked values in the error message."""
-    if not 0 <= mean < math.inf:
-        raise ConfigurationError(
-            f"{mean_name} must be finite and nonnegative, got {mean}", mean_name
-        )
+    """Reject a kind that is not a CountKind member, a mean that is not a finite
+    nonnegative number, a dispersion that is neither None nor a finite number, and a
+    negative binomial without a dispersion of at least DISPERSION_MIN (its size
+    parameter: Var = mean + mean**2 / dispersion). The names are those of the checked
+    values in the error message."""
+    _check(kind_name, kind, _KIND)
+    _check(mean_name, mean, _NONNEGATIVE)
+    _check(dispersion_name, dispersion, _DISPERSION)
     if kind is CountKind.NBINOMIAL:
-        if dispersion is None or not DISPERSION_MIN <= dispersion < math.inf:
-            raise ConfigurationError(
-                f"{dispersion_name} must be finite and at least {DISPERSION_MIN} for the "
-                f"negative binomial, got {dispersion}",
-                dispersion_name,
-            )
+        _check(dispersion_name, dispersion, _NB_DISPERSION)
 
 
 def draw_counts(
@@ -76,6 +103,14 @@ def draw_counts(
     return rng.negative_binomial(k, k / (k + means), size=size)
 
 
+# The rule of each AgingCurve field, checked in this order.
+_AGING_RULES = {
+    "peak_period": (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number"),
+    "max_mean": _NONNEGATIVE,
+    "speed": (lambda v: _is_real(v) and 1 < v < math.inf, "a finite number above 1"),
+}
+
+
 @dataclass(frozen=True)
 class AgingCurve:
     """Expected citations per period as a function of paper age.
@@ -90,20 +125,7 @@ class AgingCurve:
     speed: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.peak_period < math.inf:
-            raise ConfigurationError(
-                f"peak_period must be finite and positive, got {self.peak_period}", "peak_period"
-            )
-        if not 0 <= self.max_mean < math.inf:
-            raise ConfigurationError(
-                f"max_mean must be finite and nonnegative, got {self.max_mean}", "max_mean"
-            )
-        if not 1 < self.speed < math.inf:
-            raise ConfigurationError(
-                "speed must be finite and exceed 1 for the curve to have an interior peak, "
-                f"got {self.speed}",
-                "speed",
-            )
+        _check_fields(self, _AGING_RULES)
 
     @property
     def scale(self) -> float:

@@ -28,6 +28,9 @@ import numpy as np
 from .distributions import (
     AgingCurve,
     CountKind,
+    _check_fields,
+    _is_integer,
+    _is_real,
     _validate_count_params,
     draw_counts,
     expected_citations,
@@ -48,9 +51,34 @@ EXPECTED_MAX = 2**30
 BOOST_SIZE_MAX = 2**10
 
 
+_COUNT = (lambda v: _is_integer(v) and v >= 1, "an integer of at least 1")
+_SHARE = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
+_SWITCH = (lambda v: isinstance(v, bool), "a boolean")
+
+# The (test, description) rule of each SimulationConfig field, checked in this
+# order. The kinds, paper_mean and the dispersions are checked by
+# _validate_count_params instead, and the citation mean by AgingCurve.
+_CONFIG_RULES = {
+    "runs": _COUNT,
+    "n_agents": _COUNT,
+    "periods": _COUNT,
+    "coauthors_mean": _COUNT,
+    "aging": (lambda v: isinstance(v, AgingCurve), "an AgingCurve"),
+    "alpha_share": _SHARE,
+    "master_seed": (lambda v: _is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+    "collab_share": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "diligence_correlation": _SHARE,
+    "strategic": _SWITCH,
+    "self_citation": _SWITCH,
+    "boost_size": (lambda v: _is_real(v) and 0 <= v <= BOOST_SIZE_MAX, "a number in [0, 2**10]"),
+    "dynamic_alpha": _SWITCH,
+}
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Every parameter of one experiment (shared by all of its runs)."""
+    """Every parameter of one experiment (shared by all of its runs). Construction
+    checks each field's type and range and raises a ConfigurationError naming it."""
 
     runs: int
     n_agents: int
@@ -72,40 +100,15 @@ class SimulationConfig:
     dynamic_alpha: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("runs", "n_agents", "periods", "coauthors_mean"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be finite and at least 1, got {getattr(self, name)}", name
-                )
-        if not 0.0 <= self.alpha_share <= 1.0:
-            raise ConfigurationError(
-                f"alpha_share must be in [0, 1], got {self.alpha_share}", "alpha_share"
-            )
-        if not 0.0 < self.collab_share <= 1.0:
-            raise ConfigurationError(
-                f"collab_share must be in (0, 1], got {self.collab_share}", "collab_share"
-            )
-        if not 0.0 <= self.diligence_correlation <= 1.0:
-            raise ConfigurationError(
-                f"diligence_correlation must be in [0, 1], got {self.diligence_correlation}",
-                "diligence_correlation",
-            )
-        if not 0 <= self.boost_size <= BOOST_SIZE_MAX:
-            raise ConfigurationError(
-                f"boost_size must be in [0, 2**10], got {self.boost_size}", "boost_size"
-            )
+        _check_fields(self, _CONFIG_RULES)
         _validate_count_params(
             self.paper_kind, self.paper_mean, self.paper_dispersion,
-            "paper_mean", "paper_dispersion",
+            "paper_kind", "paper_mean", "paper_dispersion",
         )
         _validate_count_params(
             self.citation_kind, 0.0, self.citation_dispersion,
-            dispersion_name="citation_dispersion",
+            "citation_kind", dispersion_name="citation_dispersion",
         )
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigurationError(
-                f"master_seed must be in [0, 2**64), got {self.master_seed}", "master_seed"
-            )
         # Expected table size and citations per paper; the first two terms
         # keep the products from overflowing a float.
         n, periods = self.n_agents, self.periods
@@ -208,8 +211,7 @@ def _team_width(config: SimulationConfig) -> int:
 
 
 def _teams_per_period(config: SimulationConfig) -> int:
-    m = _collaborator_count(config)
-    return -(-m // config.coauthors_mean) if m else 0
+    return -(-_collaborator_count(config) // config.coauthors_mean)
 
 
 def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
@@ -319,8 +321,6 @@ def form_teams(
     """
     m = len(collaborators)
     co = _team_width(config)
-    if m == 0:
-        return np.empty((0, co), dtype=np.int64)
     k = -(-m // co)
     if not config.strategic:
         padded = np.full(k * co, -1, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Preset expansion, flag handling, exit codes, and output files."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -236,6 +237,9 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
         {"seed": 2**64},
         {"seed": -1},
         {"scenario": None},
+        {"papers_dist": [1]},
+        {"papers_dispersion": math.inf},  # Infinity in the file
+        {"runs": "runs"},  # the value is reported as given, not as a flag
     ],
     ids=lambda entry: json.dumps(entry),
 )
@@ -245,7 +249,10 @@ def test_config_file_values_are_type_checked(tmp_path, capsys, entry):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    ((key, value),) = entry.items()
+    message = capsys.readouterr().err.split("error:", 1)[1].strip()
+    assert message.startswith("--" + key.replace("_", "-") + " must be ")
+    assert message.endswith(f", got {value!r}")
 
 
 def test_config_file_accepts_null_dispersion_and_integral_floats(tmp_path):

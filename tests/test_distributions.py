@@ -59,6 +59,7 @@ def test_negative_binomial_moments():
         (CountKind.NBINOMIAL, math.inf, 2.0),
         (CountKind.NBINOMIAL, math.nan, 2.0),
         (CountKind.NBINOMIAL, 10.0, 1e-300),  # below DISPERSION_MIN
+        ("poisson", 10.0, None),  # a plain string is not a CountKind
     ],
 )
 def test_invalid_count_parameters(kind, mean, dispersion):

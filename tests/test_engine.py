@@ -5,7 +5,10 @@ definitions in ``model`` on full simulated states.
 """
 
 import copy
+import dataclasses
+import inspect
 import math
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -18,7 +21,7 @@ from scipy.stats import rankdata, spearmanr
 from halpha_sim import engine, model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
-from halpha_sim.distributions import AgingCurve, CountKind
+from halpha_sim.distributions import _AGING_RULES, AgingCurve, CountKind, _validate_count_params
 from halpha_sim.engine import (
     COUNT_MAX,
     SimulationConfig,
@@ -103,11 +106,57 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"periods": 2**30},
         {"n_agents": 10**400},
         {"periods": 10**400},
+        # types: integers are not floats or bools, kinds are CountKind members
+        {"runs": 1.5},
+        {"n_agents": 10.5},
+        {"periods": True},
+        {"master_seed": 1.5},
+        {"paper_kind": "poisson"},
+        {"citation_kind": "poisson", "citation_dispersion": 2.0},
+        {"strategic": 1},
+        {"alpha_share": "0.3"},
     ],
 )
 def test_config_validation(overrides):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as exc:
         make_config(**overrides)
+    # the error names a field the case sets, or the one its setting makes invalid
+    consequence = {"paper_kind": "paper_dispersion", "citation_kind": "citation_dispersion",
+                   "aging": "max_mean"}
+    assert set(exc.value.fields) & {*overrides, *map(consequence.get, overrides)}
+
+
+def test_config_accepts_numpy_scalars():
+    as_numpy = make_config(n_agents=np.int64(20), runs=np.int64(1), alpha_share=np.float64(0.33))
+    as_python = make_config(n_agents=20, runs=1, alpha_share=0.33)
+    csv = [export_csv(aggregate(run_experiment(c)), per_run=True) for c in (as_numpy, as_python)]
+    assert csv[0] == csv[1]
+
+
+def test_every_config_field_has_exactly_one_rule(monkeypatch):
+    # each field is in a rule table or passed by name to _validate_count_params,
+    # never both, so a new field cannot skip validation
+    named = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(_validate_count_params).bind(*args, **kwargs)
+        named.extend(v for k, v in bound.arguments.items() if k.endswith("_name"))
+        _validate_count_params(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_validate_count_params", recording)
+    make_config()
+    checked = Counter([*engine._CONFIG_RULES, *named])
+    assert checked == Counter(f.name for f in dataclasses.fields(SimulationConfig))
+    assert list(_AGING_RULES) == [f.name for f in dataclasses.fields(AgingCurve)]
+    # and each rule rejects a value of no accepted type, naming its field
+    for name in checked:
+        with pytest.raises(ConfigurationError) as exc:
+            make_config(**{name: object()})
+        assert exc.value.fields == (name,)
+    for name in _AGING_RULES:
+        with pytest.raises(ConfigurationError) as exc:
+            AgingCurve(**{"peak_period": 3.0, "max_mean": 5.0, name: object()})
+        assert exc.value.fields == (name,)
 
 
 def test_config_rejects_a_citation_mean_that_would_wrap_int32():
@@ -499,6 +548,9 @@ def _assert_run_matches_model(cfg):
             "paper_kind": CountKind.NBINOMIAL,
             "paper_dispersion": 3.0,
         },
+        # no publishers: round(0.01 * 15) is 0, so every period forms no team
+        {"collab_share": 0.01},
+        {"collab_share": 0.01, "strategic": True},
     ],
 )
 def test_engine_indices_match_model(overrides):
