@@ -28,6 +28,7 @@ import numpy as np
 from .distributions import (
     AgingCurve,
     CountKind,
+    _check,
     _check_fields,
     _is_integer,
     _is_real,
@@ -166,6 +167,13 @@ class SimulationState:
     ``alpha_author`` and ``current_h`` are int32 (capacity + 1 entries for
     the first two); the limits in ``SimulationConfig`` and the checks on drawn
     counts keep every value below ``COUNT_MAX``.
+
+    ``agent_papers`` is stored slot-major (Fortran order): slot j of every
+    agent is one contiguous column. ``_recompute_indices`` reads the used
+    width ``agent_papers[:, :agent_paper_counts.max()]``, which is then one
+    contiguous block instead of a strided view, and numpy gathers
+    ``citations`` and ``alpha_author`` through a contiguous index array about
+    twice as fast. Indexing is the same in either order.
     """
 
     period: int
@@ -263,7 +271,8 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         boost_anchor=np.zeros(capacity, dtype=np.int64),
         authors=np.full((capacity, _team_width(config)), -1, dtype=np.int64),
         agent_papers=np.full(
-            (n, int(paper_counts.max(initial=0)) + config.periods), capacity, dtype=np.int64
+            (n, int(paper_counts.max(initial=0)) + config.periods), capacity, dtype=np.int64,
+            order="F",
         ),
         agent_paper_counts=paper_counts.copy(),
         initial_h=np.zeros(n, dtype=np.int32),
@@ -410,7 +419,8 @@ def _recompute_indices(state: SimulationState, recredit: bool = False) -> None:
     every paper to its author with the highest new h before h-alpha is
     counted. The h-core is every paper above h plus the earliest papers at
     exactly h; a row lists paper ids in increasing order, so ties go to the
-    smaller id, as in ``model.h_core``.
+    smaller id, as in ``model.h_core``. The used block of the slot-major
+    ``agent_papers`` is contiguous, so both gathers through it read one block.
     """
     n = state.n_agents
     papers = state.agent_papers[:, : state.agent_paper_counts.max()]
@@ -486,7 +496,10 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
 
     Runs are independent and seeded from (master_seed, run_index), so the
     result is identical whether they execute serially or on a thread pool.
+    ``max_workers`` is None or an integer of at least 1; 1 and None run serially.
     """
+    if max_workers is not None:
+        _check("max_workers", max_workers, _COUNT)
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(lambda i: _run_one(config, i), range(config.runs)))

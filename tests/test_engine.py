@@ -648,6 +648,32 @@ def test_recompute_indices_from_zero_matches_incremental_path():
     assert np.array_equal(fresh.current_h_alpha, state.current_h_alpha)
 
 
+def test_used_paper_block_is_contiguous_and_layout_free():
+    """The kernel reads ``agent_papers[:, :max count]``: one contiguous block in
+    the slot-major table, a strided view in a row-major one. Only the speed of
+    its gathers depends on that; a row-major copy gives the same indices."""
+    cfg = make_config(runs=1, n_agents=40, periods=12, master_seed=31, dynamic_alpha=True)
+    state = init_state(cfg, 0)
+
+    def used(s):
+        return s.agent_papers[:, : s.agent_paper_counts.max()]
+
+    assert used(state).flags.f_contiguous
+    for _ in range(8):
+        step_period(state, cfg)
+        assert used(state).flags.f_contiguous
+    row_major = copy.deepcopy(state)
+    row_major.agent_papers = np.ascontiguousarray(state.agent_papers)
+    assert not used(row_major).flags.f_contiguous and not used(row_major).flags.c_contiguous
+    for s in (state, row_major):
+        s.current_h = np.zeros_like(s.current_h)
+        _recompute_indices(s, recredit=True)
+    assert state.current_h.max() >= 3
+    assert np.array_equal(row_major.current_h, state.current_h)
+    assert np.array_equal(row_major.current_h_alpha, state.current_h_alpha)
+    assert np.array_equal(row_major.alpha_author, state.alpha_author)
+
+
 def test_team_partition_every_period():
     cfg = make_config(runs=1, n_agents=50, periods=8, master_seed=31)
     state = init_state(cfg, 0)
@@ -706,3 +732,19 @@ def test_thread_count_does_not_change_results():
     assert [r.run_index for r in threaded] == list(range(6))
     assert np.array_equal(_flatten(serial), _flatten(threaded))
     assert export_csv(aggregate(serial)) == export_csv(aggregate(threaded))
+
+
+@pytest.mark.parametrize("max_workers", [0, -3, True, 1.5, "2"])
+def test_run_experiment_rejects_a_bad_worker_count(max_workers):
+    with pytest.raises(ConfigurationError, match="max_workers") as err:
+        run_experiment(make_config(runs=2), max_workers=max_workers)
+    assert err.value.fields == ("max_workers",)
+
+
+def test_every_valid_worker_count_gives_the_same_results():
+    cfg = make_config(runs=3, master_seed=77)
+    serial = run_experiment(cfg, max_workers=None)
+    for max_workers in (1, 2, np.int64(2)):
+        results = run_experiment(cfg, max_workers=max_workers)
+        assert np.array_equal(_flatten(serial), _flatten(results))
+        assert export_csv(aggregate(serial)) == export_csv(aggregate(results))
