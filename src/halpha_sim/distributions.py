@@ -5,6 +5,10 @@ binomial distribution, both parameterized by their mean so that switching
 kinds never changes the expected value. The expected number of citations a
 paper receives in a period depends on its age through a log-logistic curve
 that rises to a configurable peak and then decays.
+
+Parameters are checked against (test, description) rules. The count rules
+here are also those of the matching fields in ``engine``'s rule table of
+``SimulationConfig``, and ``draw_counts`` checks its own arguments with them.
 """
 
 from __future__ import annotations
@@ -60,26 +64,6 @@ def _check_fields(obj, rules: dict) -> None:
         _check(name, getattr(obj, name), rule)
 
 
-def _validate_count_params(
-    kind: CountKind,
-    mean: float,
-    dispersion: float | None,
-    kind_name: str = "kind",
-    mean_name: str = "count mean",
-    dispersion_name: str = "dispersion",
-) -> None:
-    """Reject a kind that is not a CountKind member, a mean that is not a finite
-    nonnegative number, a dispersion that is neither None nor a finite number, and a
-    negative binomial without a dispersion of at least DISPERSION_MIN (its size
-    parameter: Var = mean + mean**2 / dispersion). The names are those of the checked
-    values in the error message."""
-    _check(kind_name, kind, _KIND)
-    _check(mean_name, mean, _NONNEGATIVE)
-    _check(dispersion_name, dispersion, _DISPERSION)
-    if kind is CountKind.NBINOMIAL:
-        _check(dispersion_name, dispersion, _NB_DISPERSION)
-
-
 def draw_counts(
     kind: CountKind,
     means,
@@ -90,7 +74,8 @@ def draw_counts(
     """Draw one count per entry of ``means`` (or ``size`` draws at a scalar mean).
 
     Negative binomial draws use n = dispersion, p = dispersion / (dispersion + mean),
-    which gives E[X] = mean and Var[X] = mean + mean**2 / dispersion.
+    which gives E[X] = mean and Var[X] = mean + mean**2 / dispersion; the
+    dispersion must be at least DISPERSION_MIN.
     """
     means = np.asarray(means, dtype=float)
     # min and max propagate NaN, so a NaN mean fails the first test
@@ -98,7 +83,9 @@ def draw_counts(
         raise ConfigurationError("count means must be finite and nonnegative")
     if kind is CountKind.POISSON:
         return rng.poisson(means, size=size)
-    _validate_count_params(kind, 0.0, dispersion)
+    _check("kind", kind, _KIND)
+    _check("dispersion", dispersion, _DISPERSION)
+    _check("dispersion", dispersion, _NB_DISPERSION)
     k = float(dispersion)  # type: ignore[arg-type]
     return rng.negative_binomial(k, k / (k + means), size=size)
 

@@ -26,13 +26,16 @@ from statistics import NormalDist
 import numpy as np
 
 from .distributions import (
+    _DISPERSION,
+    _KIND,
+    _NB_DISPERSION,
+    _NONNEGATIVE,
     AgingCurve,
     CountKind,
     _check,
     _check_fields,
     _is_integer,
     _is_real,
-    _validate_count_params,
     draw_counts,
     expected_citations,
 )
@@ -56,17 +59,21 @@ _COUNT = (lambda v: _is_integer(v) and v >= 1, "an integer of at least 1")
 _SHARE = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
 _SWITCH = (lambda v: isinstance(v, bool), "a boolean")
 
-# The (test, description) rule of each SimulationConfig field, checked in this
-# order. The kinds, paper_mean and the dispersions are checked by
-# _validate_count_params instead, and the citation mean by AgingCurve.
+# The (test, description) rule of each SimulationConfig field, in field order,
+# which is the order they are checked in. The citation mean is AgingCurve's.
 _CONFIG_RULES = {
     "runs": _COUNT,
     "n_agents": _COUNT,
     "periods": _COUNT,
     "coauthors_mean": _COUNT,
+    "paper_kind": _KIND,
+    "paper_mean": _NONNEGATIVE,
+    "citation_kind": _KIND,
     "aging": (lambda v: isinstance(v, AgingCurve), "an AgingCurve"),
     "alpha_share": _SHARE,
     "master_seed": (lambda v: _is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+    "paper_dispersion": _DISPERSION,
+    "citation_dispersion": _DISPERSION,
     "collab_share": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
     "diligence_correlation": _SHARE,
     "strategic": _SWITCH,
@@ -102,14 +109,10 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self, _CONFIG_RULES)
-        _validate_count_params(
-            self.paper_kind, self.paper_mean, self.paper_dispersion,
-            "paper_kind", "paper_mean", "paper_dispersion",
-        )
-        _validate_count_params(
-            self.citation_kind, 0.0, self.citation_dispersion,
-            "citation_kind", dispersion_name="citation_dispersion",
-        )
+        for kind, dispersion in (("paper_kind", "paper_dispersion"),
+                                 ("citation_kind", "citation_dispersion")):
+            if getattr(self, kind) is CountKind.NBINOMIAL:
+                _check(dispersion, getattr(self, dispersion), _NB_DISPERSION)
         # Expected table size and citations per paper; the first two terms
         # keep the products from overflowing a float.
         n, periods = self.n_agents, self.periods
@@ -125,6 +128,20 @@ class SimulationConfig:
                 f"max_mean * (periods + {INITIAL_AGE_MAX}) must be at most 2**30, "
                 f"got {self.aging.max_mean} * ({periods} + {INITIAL_AGE_MAX})",
                 "max_mean", "periods",
+            )
+        # Only the powers of age / scale can overflow, and they grow with age: a
+        # finite mean at the oldest age is a finite mean at every age.
+        oldest = periods + INITIAL_AGE_MAX
+        try:
+            finite = math.isfinite(expected_citations(oldest, self.aging))
+        except ArithmeticError:  # an overflowing power, or a peak density of 0
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                "speed and peak_period must give a finite citation mean at age "
+                f"periods + {INITIAL_AGE_MAX}, got {self.aging.speed} and "
+                f"{self.aging.peak_period} at age {oldest}",
+                "speed", "peak_period", "periods",
             )
         if self.diligence_correlation > 0 and self.collab_share >= 1.0:
             warnings.warn(

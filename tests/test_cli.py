@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from halpha_sim.cli import (
+    FLOAT,
+    PARAMETERS,
     PRESETS,
     build_parser,
     config_echo_path,
@@ -128,6 +130,38 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
     assert message.lstrip().startswith(flag) or f"argument {flag}:" in message
     assert not re.search(r"\b(collab_share|master_seed|max_mean|citation_dispersion)\b", message)
     assert not out.exists()  # nothing ran, so no count was written
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--" + p.name.replace("_", "-") for p in PARAMETERS
+                                  if p.flag is FLOAT])
+def test_float_flags_reject_non_finite_values(tmp_path, capsys, flag, value):
+    # flags parse as plain floats; the config's rules reject these and name the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "x.csv"), "--seed", "1", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.split("error:", 1)[1].lstrip().startswith(f"{flag} ")
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        ["--citations-speed", "400"],  # (1 + x**speed) ** 2 overflows
+        ["--citations-speed", "1e300"],
+        ["--citations-peak", "1e-300"],  # age / scale overflows a power
+        ["--citations-peak", "1e308", "--citations-speed", "1.0000001"],  # scale inf: f(peak) 0
+        ["--citations-peak", "5e-324"],  # age / scale is inf: the means are nan, no exception
+    ],
+)
+def test_an_overflowing_aging_curve_is_a_usage_error(tmp_path, capsys, curve):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "--seed", "1", "--agents", "10", "--periods", "3", "--runs", "1",
+              *curve])
+    assert exc.value.code == 2
+    message = capsys.readouterr().err.split("error:", 1)[1]
+    assert message.lstrip().startswith("--citations-speed and --citations-peak must ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario", [[], ["--strategic", "--update-alpha", "--self-citations"]])

@@ -6,9 +6,7 @@ definitions in ``model`` on full simulated states.
 
 import copy
 import dataclasses
-import inspect
 import math
-from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -21,7 +19,7 @@ from scipy.stats import rankdata, spearmanr
 from halpha_sim import engine, model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
-from halpha_sim.distributions import _AGING_RULES, AgingCurve, CountKind, _validate_count_params
+from halpha_sim.distributions import _AGING_RULES, AgingCurve, CountKind, expected_citations
 from halpha_sim.engine import (
     COUNT_MAX,
     SimulationConfig,
@@ -133,23 +131,13 @@ def test_config_accepts_numpy_scalars():
     assert csv[0] == csv[1]
 
 
-def test_every_config_field_has_exactly_one_rule(monkeypatch):
-    # each field is in a rule table or passed by name to _validate_count_params,
-    # never both, so a new field cannot skip validation
-    named = []
-
-    def recording(*args, **kwargs):
-        bound = inspect.signature(_validate_count_params).bind(*args, **kwargs)
-        named.extend(v for k, v in bound.arguments.items() if k.endswith("_name"))
-        _validate_count_params(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_validate_count_params", recording)
-    make_config()
-    checked = Counter([*engine._CONFIG_RULES, *named])
-    assert checked == Counter(f.name for f in dataclasses.fields(SimulationConfig))
+def test_every_config_field_has_exactly_one_rule():
+    # the rule tables list every field once, in field order, so a new field
+    # cannot skip validation
+    assert list(engine._CONFIG_RULES) == [f.name for f in dataclasses.fields(SimulationConfig)]
     assert list(_AGING_RULES) == [f.name for f in dataclasses.fields(AgingCurve)]
     # and each rule rejects a value of no accepted type, naming its field
-    for name in checked:
+    for name in engine._CONFIG_RULES:
         with pytest.raises(ConfigurationError) as exc:
             make_config(**{name: object()})
         assert exc.value.fields == (name,)
@@ -163,6 +151,24 @@ def test_config_rejects_a_citation_mean_that_would_wrap_int32():
     # at 1e9 expected citations per period, 35 ages of draws exceed 2**31
     with pytest.raises(ConfigurationError, match=r"max_mean \* \(periods \+ 5\)"):
         scenario_config("baseline", 3, agents=10, runs=1, periods=30, citations_mean=1e9)
+
+
+@given(
+    peak=st.floats(0.0, 1e308, exclude_min=True),
+    speed=st.floats(1.0, 1e308, exclude_min=True),
+    max_mean=st.floats(0.0, 1e7),
+    periods=st.integers(1, 100),
+)
+@settings(max_examples=300)
+def test_every_accepted_aging_curve_has_finite_means(peak, speed, max_mean, periods):
+    # max_mean * (periods + 5) stays below 2**30, so only the curve can be rejected
+    curve = AgingCurve(peak, max_mean, speed)
+    try:
+        make_config(periods=periods, aging=curve)
+    except ConfigurationError as exc:
+        assert exc.fields == ("speed", "peak_period", "periods")
+        return
+    assert all(math.isfinite(expected_citations(a, curve)) for a in range(1, periods + 6))
 
 
 def test_config_accepts_the_int32_limits():
