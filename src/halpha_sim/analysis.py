@@ -9,6 +9,8 @@ equal weights.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +18,19 @@ import numpy as np
 
 from .engine import RunResult
 from .errors import DataError
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_package() -> int:
+    """The ``stacklevel`` that makes a warning issued by the caller report the
+    nearest frame outside this package: the line that called ``split_groups``
+    or ``aggregate``, not a line between them."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -38,7 +53,7 @@ def split_groups(initial_h) -> GroupSplit:
     if low.size == 0 and high.size == 0:
         warnings.warn(
             "every agent has the same initial h; low and high groups are empty",
-            stacklevel=2,
+            stacklevel=_outside_package(),
         )
     return GroupSplit(low=low, high=high, median=median)
 

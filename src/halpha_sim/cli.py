@@ -21,8 +21,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from .analysis import _fmt, aggregate, export_csv
-from .distributions import AgingCurve, CountKind
-from .engine import SimulationConfig, run_experiment
+from .distributions import AgingCurve, CountKind, _check
+from .engine import _COUNT, SimulationConfig, run_experiment
 from .errors import ConfigurationError, DataError
 
 
@@ -123,7 +123,7 @@ _KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
 
 # The flag that sets each SimulationConfig and AgingCurve attribute, and the scenario.
 _FLAG_OF = {p.field.rpartition(".")[2]: "--" + p.name.replace("_", "-") for p in PARAMETERS}
-_FLAG_OF.update(master_seed="--seed", scenario="--scenario")
+_FLAG_OF.update(master_seed="--seed", scenario="--scenario", max_workers="--workers")
 
 
 def _with_flags(exc: ConfigurationError) -> str:
@@ -144,6 +144,7 @@ class CliOptions:
     seed_generated: bool
     out: Path
     per_run: bool
+    workers: int | None  # run_experiment's max_workers: None is every usable core
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +166,35 @@ def build_parser() -> argparse.ArgumentParser:
     add("--out", type=Path, help="path of the aggregated CSV (required)")
     add("--per-run", action="store_true", default=None,
         help="also write per-run trajectories next to the aggregated CSV")
+    add("--workers", type=int, metavar="N",
+        help="worker processes for the runs, at most one per run and per usable core "
+             "(default: every usable core); the results do not depend on it")
     return parser
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each number that starts with '-' joined to the flag before it.
+
+    argparse takes an argument such as ``-1e-3`` or ``-inf`` for an unknown
+    option, so ``--diligence-corr -1e-3`` would fail with "expected one
+    argument"; as ``--diligence-corr=-1e-3`` it reaches the parameter's rule.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and arg.startswith("-") and _is_number(arg)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _load_config_file(parser: argparse.ArgumentParser, path: Path) -> dict:
@@ -190,7 +219,7 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
     mistyped or out-of-range values, or a missing output path.
     """
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     values = _load_config_file(parser, ns.config) if ns.config is not None else {}
     if ns.out is None:
         parser.error("--out is required")
@@ -202,10 +231,13 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
 
     try:
         config = scenario_config(scenario, seed, **values)
+        if ns.workers is not None:
+            _check("max_workers", ns.workers, _COUNT)
     except ConfigurationError as exc:
         parser.error(_with_flags(exc))
     options = CliOptions(
-        scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run)
+        scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run),
+        workers=ns.workers,
     )
     return config, options
 
@@ -232,7 +264,7 @@ def _render_echo(config: SimulationConfig, options: CliOptions) -> str:
 def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
     """Run the experiment, write CSV and config echo, print the summary."""
     try:
-        runs = run_experiment(config)
+        runs = run_experiment(config, max_workers=options.workers)
         result = aggregate(runs)
     except (ConfigurationError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ and of how many runs share the experiment.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -512,12 +512,27 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     """Execute all runs of the experiment, in run-index order.
 
     Runs are independent and seeded from (master_seed, run_index), so the
-    result is identical whether they execute serially or on a thread pool.
-    ``max_workers`` is None or an integer of at least 1; 1 and None run serially.
+    result is identical for any number of workers. ``max_workers`` is None
+    (every usable core) or an integer of at least 1. The runs go to
+    ``min(max_workers or cores, runs, cores)`` worker processes, forked from
+    this one, one task per run; with one worker they run in this process.
+    The pool is started and shut down within the call.
     """
     if max_workers is not None:
         _check("max_workers", max_workers, _COUNT)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda i: _run_one(config, i), range(config.runs)))
-    return [_run_one(config, i) for i in range(config.runs)]
+    cores = len(os.sched_getaffinity(0))
+    workers = min(max_workers or cores, config.runs, cores)
+    if workers == 1:
+        return [_run_one(config, i) for i in range(config.runs)]
+    # Imported here: a serial call, and importing the package, need neither.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # fork, set explicitly: a forked worker starts with numpy imported and this
+    # module loaded, where spawn and forkserver (3.14's default on Linux) would
+    # import them again in every call.
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    try:
+        return list(pool.map(_run_one, [config] * config.runs, range(config.runs)))
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed run cancels the runs not yet started

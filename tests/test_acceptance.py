@@ -271,7 +271,7 @@ def test_criterion_7_aging_curve_anchor_and_unimodality():
 
 def test_criterion_8_threading_leaves_csv_bytes_identical():
     cfg = scenario_config("baseline", master_seed=SEEDS[0])
-    serial = export_csv(aggregate(run_experiment(cfg)))
+    serial = export_csv(aggregate(run_experiment(cfg, max_workers=1)))
     threaded = export_csv(aggregate(run_experiment(cfg, max_workers=8)))
     report(8, "1-thread and 8-thread runs give byte-identical CSV",
            serial == threaded, f"{len(serial)} bytes compared")

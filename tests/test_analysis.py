@@ -63,6 +63,18 @@ def test_split_all_equal_warns_and_empties():
     assert at_median(split, 4).size == 4
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: split_groups([4, 4, 4, 4]), lambda: aggregate([make_run(0, [4, 4, 4], [[1, 2, 3]])])],
+    ids=["split_groups", "aggregate"],
+)
+def test_same_initial_h_warning_points_at_the_caller(call):
+    # the line in this file that called into the package, not a line inside it
+    with pytest.warns(UserWarning, match="same initial h") as record:
+        call()
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_split_requires_agents():
     with pytest.raises(ValueError):
         split_groups([])

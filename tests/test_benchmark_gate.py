@@ -41,8 +41,8 @@ def experiment(tmp_path, monkeypatch):
     """A CLI experiment's config, the runs its engine call returned, and its output path."""
     captured = []
 
-    def capture(config):
-        captured.append(engine.run_experiment(config))
+    def capture(config, max_workers=None):
+        captured.append(engine.run_experiment(config, max_workers))
         return captured[-1]
 
     monkeypatch.setattr(cli, "run_experiment", capture)
@@ -77,7 +77,8 @@ def test_tracer_finds_every_layer(tmp_path):
     tracer = spans.Tracer(halpha_sim)
     with tracer.installed():
         tracer.experiment += 1
-        assert cli.main([*ARGV, "--out", str(tmp_path / "result.csv")]) == 0
+        # spans are recorded only in this process, so the runs stay in it
+        assert cli.main([*ARGV, "--workers", "1", "--out", str(tmp_path / "result.csv")]) == 0
     assert tracer.absent == set()
     summary = tracer.summary(1)
     assert summary["engine.step_period.calls"] == 3 * 6

@@ -143,6 +143,20 @@ def test_float_flags_reject_non_finite_values(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.split("error:", 1)[1].lstrip().startswith(f"{flag} ")
 
 
+@pytest.mark.parametrize(("flag", "value"), [("--diligence-corr", "-1e-3"),
+                                           ("--citations-mean", "-inf")])
+def test_a_negative_number_in_its_own_argument_meets_the_rule(tmp_path, capsys, flag, value):
+    # argparse alone takes -1e-3 and -inf for options ("expected one argument")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "--seed", "1", flag, value])
+    assert exc.value.code == 2
+    message = capsys.readouterr().err.split("error:", 1)[1].strip()
+    assert message.startswith(f"{flag} must be ")
+    assert message.endswith(f", got {float(value)}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "curve",
     [
@@ -185,6 +199,51 @@ def test_a_count_past_int32_in_a_draw_is_a_runtime_error(tmp_path, capsys):
     assert main(["--out", str(out), "--seed", "1", *flags]) == 1
     assert "error: a paper's citation count would exceed 2147483647" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_count_past_int32_in_a_worker_is_a_runtime_error(tmp_path, capsys):
+    # as above, over three runs: the DataError is raised in a worker process
+    out = tmp_path / "x.csv"
+    flags = ["--agents", "20", "--runs", "3", "--periods", "5", "--citations-dist", "nbinomial",
+             "--citations-dispersion", "0.01", "--citations-mean", "1e8"]
+    assert main(["--out", str(out), "--seed", "1", *flags]) == 1
+    assert "error: a paper's citation count would exceed 2147483647" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_worker_count_writes_the_same_bytes_as_one_worker(tmp_path):
+    flags = ["--scenario", "boost", "--update-alpha", "--self-citations",
+             "--citations-dist", "nbinomial", "--citations-dispersion", "2",
+             "--agents", "40", "--runs", "4", "--periods", "8", "--seed", "11", "--per-run"]
+    outputs = []
+    for workers in ([], ["--workers", "1"]):
+        out = tmp_path / f"w{len(workers)}.csv"
+        assert main([*flags, *workers, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), per_run_path(out).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", [["--workers", "0"], ["--workers", "-1"], ["--workers=1.5"]])
+def test_a_bad_worker_count_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*FAST, *workers, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err.split("error:", 1)[1]
+    assert not out.exists()
+
+
+def test_workers_is_not_a_model_parameter(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main([*FAST, "--workers", "2", "--out", str(out)]) == 0
+    echo = config_echo_path(out).read_text(encoding="utf-8")
+    assert not any(line.startswith("workers") for line in echo.splitlines())
+    assert "workers" not in {p.name for p in PARAMETERS}
+    cfg_file = tmp_path / "params.json"
+    cfg_file.write_text(json.dumps({"workers": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_file), "--out", str(tmp_path / "y.csv")])
+    assert exc.value.code == 2
 
 
 def test_run_writes_deterministic_outputs(tmp_path, capsys):
@@ -323,6 +382,25 @@ def test_cli_and_diligence_transform_load_no_scipy():
         "config, _ = cli.parse_config(argv)\n"
         "assert engine.init_state(config, 0).diligence_z is not None\n"
         "assert 'scipy' not in sys.modules, [m for m in sys.modules if m.startswith('scipy')]\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_start_up_imports_no_process_machinery():
+    # the pool's modules are imported only by a run that uses them
+    script = (
+        "import sys\n"
+        "from halpha_sim import cli\n"
+        "cli.parse_config(['--out', 'x.csv'])\n"
+        "loaded = [m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))]\n"
+        "assert not loaded, loaded\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

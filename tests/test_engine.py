@@ -4,9 +4,11 @@ The array-based engine is cross-checked against the record-by-record
 definitions in ``model`` on full simulated states.
 """
 
+import concurrent.futures
 import copy
 import dataclasses
 import math
+import os
 from datetime import timedelta
 
 import numpy as np
@@ -733,7 +735,7 @@ def test_first_run_independent_of_run_count():
 
 def test_thread_count_does_not_change_results():
     cfg = make_config(runs=6, master_seed=909)
-    serial = run_experiment(cfg)
+    serial = run_experiment(cfg, max_workers=1)
     threaded = run_experiment(cfg, max_workers=4)
     assert [r.run_index for r in threaded] == list(range(6))
     assert np.array_equal(_flatten(serial), _flatten(threaded))
@@ -749,8 +751,31 @@ def test_run_experiment_rejects_a_bad_worker_count(max_workers):
 
 def test_every_valid_worker_count_gives_the_same_results():
     cfg = make_config(runs=3, master_seed=77)
-    serial = run_experiment(cfg, max_workers=None)
-    for max_workers in (1, 2, np.int64(2)):
+    serial = run_experiment(cfg, max_workers=1)
+    for max_workers in (None, 1, 2, np.int64(2)):
         results = run_experiment(cfg, max_workers=max_workers)
         assert np.array_equal(_flatten(serial), _flatten(results))
         assert export_csv(aggregate(serial)) == export_csv(aggregate(results))
+
+
+@pytest.mark.parametrize(("runs", "max_workers"), [(3, 64), (3, None), (50, None), (1, None)])
+def test_no_more_workers_than_runs_or_cores(monkeypatch, runs, max_workers):
+    # records the pool size instead of starting the pool: a fork pool starts
+    # all of its workers at once
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    results = run_experiment(make_config(runs=runs, periods=2), max_workers=max_workers)
+    assert [r.run_index for r in results] == list(range(runs))
+    workers = min(runs, len(os.sched_getaffinity(0)))
+    assert sizes == ([workers] if workers > 1 else [])
