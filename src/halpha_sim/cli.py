@@ -21,8 +21,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from .analysis import _fmt, aggregate, export_csv
-from .distributions import AgingCurve, CountKind, _check
-from .engine import _COUNT, SimulationConfig, run_experiment
+from .distributions import AgingCurve, CountKind
+from .engine import SimulationConfig, run_experiment
 from .errors import ConfigurationError, DataError
 
 
@@ -123,7 +123,7 @@ _KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
 
 # The flag that sets each SimulationConfig and AgingCurve attribute, and the scenario.
 _FLAG_OF = {p.field.rpartition(".")[2]: "--" + p.name.replace("_", "-") for p in PARAMETERS}
-_FLAG_OF.update(master_seed="--seed", scenario="--scenario", max_workers="--workers")
+_FLAG_OF.update(master_seed="--seed", scenario="--scenario")
 
 
 def _with_flags(exc: ConfigurationError) -> str:
@@ -144,7 +144,6 @@ class CliOptions:
     seed_generated: bool
     out: Path
     per_run: bool
-    workers: int | None  # run_experiment's max_workers: None is every usable core
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--out", type=Path, help="path of the aggregated CSV (required)")
     add("--per-run", action="store_true", default=None,
         help="also write per-run trajectories next to the aggregated CSV")
-    add("--workers", type=int, metavar="N",
-        help="worker processes for the runs, at most one per run and per usable core "
-             "(default: every usable core); the results do not depend on it")
     return parser
 
 
@@ -231,13 +227,10 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
 
     try:
         config = scenario_config(scenario, seed, **values)
-        if ns.workers is not None:
-            _check("max_workers", ns.workers, _COUNT)
     except ConfigurationError as exc:
         parser.error(_with_flags(exc))
     options = CliOptions(
-        scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run),
-        workers=ns.workers,
+        scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run)
     )
     return config, options
 
@@ -264,7 +257,7 @@ def _render_echo(config: SimulationConfig, options: CliOptions) -> str:
 def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
     """Run the experiment, write CSV and config echo, print the summary."""
     try:
-        runs = run_experiment(config, max_workers=options.workers)
+        runs = run_experiment(config)
         result = aggregate(runs)
     except (ConfigurationError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

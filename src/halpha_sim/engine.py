@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -508,6 +509,31 @@ def _run_one(config: SimulationConfig, run_index: int) -> RunResult:
     return RunResult(run_index=run_index, initial_h=state.initial_h.copy(), periods=metrics)
 
 
+# From Python 3.12 on, os.fork warns when the forking process has threads
+# besides the caller's, as a forked child can deadlock on a lock one of them
+# held. numpy's BLAS starts such a thread at import on a multi-core host.
+_FORK_WARNS_ON_THREADS = sys.version_info >= (3, 12)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, from its CPU affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether this process can fork a worker, and do so without os.fork's warning."""
+    if not hasattr(os, "fork"):
+        return False
+    if not _FORK_WARNS_ON_THREADS:
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # the threads cannot be counted here, so the fork might warn
+        return False
+
+
 def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> list[RunResult]:
     """Execute all runs of the experiment, in run-index order.
 
@@ -515,14 +541,17 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     result is identical for any number of workers. ``max_workers`` is None
     (every usable core) or an integer of at least 1. The runs go to
     ``min(max_workers or cores, runs, cores)`` worker processes, forked from
-    this one, one task per run; with one worker they run in this process.
-    The pool is started and shut down within the call.
+    this one, one task per run. They run in this process instead when that
+    count is 1, when the OS cannot fork, and on Python 3.12 or later when
+    this process has more than one thread (os.fork would warn). The pool is
+    started and shut down within the call.
     """
     if max_workers is not None:
         _check("max_workers", max_workers, _COUNT)
-    cores = len(os.sched_getaffinity(0))
-    workers = min(max_workers or cores, config.runs, cores)
-    if workers == 1:
+    workers = min(max_workers or config.runs, config.runs)
+    if workers > 1:
+        workers = min(workers, _usable_cores())
+    if workers == 1 or not _can_fork():
         return [_run_one(config, i) for i in range(config.runs)]
     # Imported here: a serial call, and importing the package, need neither.
     from concurrent.futures import ProcessPoolExecutor

@@ -211,39 +211,20 @@ def test_a_count_past_int32_in_a_worker_is_a_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_default_worker_count_writes_the_same_bytes_as_one_worker(tmp_path):
+def test_default_worker_count_writes_the_same_bytes_as_one_worker(tmp_path, monkeypatch):
     flags = ["--scenario", "boost", "--update-alpha", "--self-citations",
              "--citations-dist", "nbinomial", "--citations-dispersion", "2",
              "--agents", "40", "--runs", "4", "--periods", "8", "--seed", "11", "--per-run"]
-    outputs = []
-    for workers in ([], ["--workers", "1"]):
-        out = tmp_path / f"w{len(workers)}.csv"
-        assert main([*flags, *workers, "--out", str(out)]) == 0
-        outputs.append((out.read_bytes(), per_run_path(out).read_bytes()))
-    assert outputs[0] == outputs[1]
 
+    def run(name):
+        out = tmp_path / f"{name}.csv"
+        assert main([*flags, "--out", str(out)]) == 0
+        return out.read_bytes(), per_run_path(out).read_bytes()
 
-@pytest.mark.parametrize("workers", [["--workers", "0"], ["--workers", "-1"], ["--workers=1.5"]])
-def test_a_bad_worker_count_is_a_usage_error(tmp_path, capsys, workers):
-    out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([*FAST, *workers, "--out", str(out)])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err.split("error:", 1)[1]
-    assert not out.exists()
-
-
-def test_workers_is_not_a_model_parameter(tmp_path):
-    out = tmp_path / "run.csv"
-    assert main([*FAST, "--workers", "2", "--out", str(out)]) == 0
-    echo = config_echo_path(out).read_text(encoding="utf-8")
-    assert not any(line.startswith("workers") for line in echo.splitlines())
-    assert "workers" not in {p.name for p in PARAMETERS}
-    cfg_file = tmp_path / "params.json"
-    cfg_file.write_text(json.dumps({"workers": 2}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg_file), "--out", str(tmp_path / "y.csv")])
-    assert exc.value.code == 2
+    pooled = run("pool")
+    # one usable core: the runs execute in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run("one_core") == pooled
 
 
 def test_run_writes_deterministic_outputs(tmp_path, capsys):

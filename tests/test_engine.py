@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import math
 import os
+import threading
 from datetime import timedelta
 
 import numpy as np
@@ -758,10 +759,13 @@ def test_every_valid_worker_count_gives_the_same_results():
         assert export_csv(aggregate(serial)) == export_csv(aggregate(results))
 
 
-@pytest.mark.parametrize(("runs", "max_workers"), [(3, 64), (3, None), (50, None), (1, None)])
-def test_no_more_workers_than_runs_or_cores(monkeypatch, runs, max_workers):
-    # records the pool size instead of starting the pool: a fork pool starts
-    # all of its workers at once
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each pool run_experiment asks for; its runs execute here.
+
+    A fork pool starts all of its workers at once, so the cap is checked by
+    recording the size rather than by starting the pool.
+    """
     sizes = []
 
     class RecordingPool:
@@ -775,7 +779,43 @@ def test_no_more_workers_than_runs_or_cores(monkeypatch, runs, max_workers):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize(("runs", "max_workers"), [(3, 64), (3, None), (50, None), (1, None)])
+def test_no_more_workers_than_runs_or_cores(monkeypatch, pool_sizes, runs, max_workers):
+    monkeypatch.setattr(engine, "_can_fork", lambda: True)  # nothing forks: see pool_sizes
     results = run_experiment(make_config(runs=runs, periods=2), max_workers=max_workers)
     assert [r.run_index for r in results] == list(range(runs))
     workers = min(runs, len(os.sched_getaffinity(0)))
-    assert sizes == ([workers] if workers > 1 else [])
+    assert pool_sizes == ([workers] if workers > 1 else [])
+
+
+def test_without_cpu_affinity_the_cpu_count_bounds_the_pool(monkeypatch, pool_sizes):
+    monkeypatch.setattr(engine, "_can_fork", lambda: True)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = make_config(runs=3, periods=2)
+    assert len(run_experiment(cfg, max_workers=1)) == 3
+    assert pool_sizes == []
+    assert len(run_experiment(cfg)) == 3
+    assert pool_sizes == [2]
+
+
+def test_runs_stay_in_process_where_the_fork_would_warn(monkeypatch, pool_sizes):
+    # From Python 3.12 on, os.fork warns when this process has another thread;
+    # under this suite's warning filter that warning would fail every pooled run.
+    monkeypatch.setattr(engine, "_FORK_WARNS_ON_THREADS", False)
+    assert engine._can_fork() == hasattr(os, "fork")
+    monkeypatch.setattr(engine, "_FORK_WARNS_ON_THREADS", True)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not engine._can_fork()
+        results = run_experiment(make_config(runs=3, periods=2), max_workers=2)
+    finally:
+        release.set()
+        thread.join()
+    assert [r.run_index for r in results] == [0, 1, 2]
+    assert pool_sizes == []
