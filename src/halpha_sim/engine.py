@@ -12,14 +12,20 @@ cross-check this implementation in the test suite.
 
 Determinism: run ``i`` draws from a generator seeded with
 (master_seed, spawn_key=i), so results are independent of execution order
-and of how many runs share the experiment.
+and of how many runs share the experiment. After ``init_state`` a run's
+draws depend only on its config and that generator, never on h, so they can
+be made on a second thread ahead of the layers that use them (``_DrawThread``)
+in the same order, with the same results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import queue
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -54,6 +60,9 @@ COUNT_MAX = 2**31 - 1
 EXPECTED_MAX = 2**30
 # Upper limit on boost_size: round(h * boost_size) stays exact in int64.
 BOOST_SIZE_MAX = 2**10
+# Papers per citation draw on the draw thread: each draw's temporaries stay
+# small, and the layers can take a period's first chunks while it draws the rest.
+_CHUNK = 2**14
 
 
 _COUNT = (lambda v: _is_integer(v) and v >= 1, "an integer of at least 1")
@@ -177,6 +186,8 @@ class SimulationState:
     """Array-backed state of a single run.
 
     Paper rows 0..n_papers-1 are valid; ``authors`` pads short teams with -1.
+    It is int32, to halve its memory, and is cast to intp before numpy
+    gathers through it, which is about 3x slower through an int32 index.
     ``agent_papers[i, :agent_paper_counts[i]]`` lists agent i's paper ids, and
     its empty slots hold the id ``capacity`` of a sentinel paper: entry
     ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
@@ -192,6 +203,12 @@ class SimulationState:
     contiguous block instead of a strided view, and numpy gathers
     ``citations`` and ``alpha_author`` through a contiguous index array about
     twice as fast. Indexing is the same in either order.
+
+    ``draws`` is the run's draw source: the layers take the collaborator
+    choice, the team shuffle and the citation counts from it. ``init_state``
+    attaches one that draws from ``rng`` when a layer asks;
+    ``run_experiment`` may replace it with a ``_DrawThread`` for the rest of
+    the run, which draws the same numbers from ``rng`` ahead of the layers.
     """
 
     period: int
@@ -209,6 +226,7 @@ class SimulationState:
     current_h: np.ndarray
     current_h_alpha: np.ndarray
     citation_means: np.ndarray  # expected citations indexed by age
+    draws: _InlineDraws | _DrawThread
     diligence_z: np.ndarray | None = None
 
 
@@ -287,7 +305,7 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         published_period=np.zeros(capacity, dtype=np.int64),
         alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
         boost_anchor=np.zeros(capacity, dtype=np.int64),
-        authors=np.full((capacity, _team_width(config)), -1, dtype=np.int64),
+        authors=np.full((capacity, _team_width(config)), -1, dtype=np.int32),
         agent_papers=np.full(
             (n, int(paper_counts.max(initial=0)) + config.periods), capacity, dtype=np.int64,
             order="F",
@@ -297,6 +315,7 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         current_h=np.zeros(n, dtype=np.int32),
         current_h_alpha=np.zeros(n, dtype=np.int64),
         citation_means=means,
+        draws=_InlineDraws(rng),
     )
     state.citations[capacity] = -1
     state.citations[:total_initial] = _checked_counts(citations)
@@ -329,9 +348,9 @@ def select_collaborators(state: SimulationState, config: SimulationConfig) -> np
     if count <= 0:
         return np.empty(0, dtype=np.int64)
     if config.diligence_correlation == 0:
-        return state.rng.choice(config.n_agents, size=count, replace=False)
+        return state.draws.collaborators(config.n_agents, count)
     rho = config.diligence_correlation
-    eps = state.rng.standard_normal(config.n_agents)
+    eps = state.draws.noise(config.n_agents)
     scores = rho * state.diligence_z + math.sqrt(1.0 - rho * rho) * eps
     return np.argsort(-scores, kind="stable")[:count].astype(np.int64)
 
@@ -351,12 +370,12 @@ def form_teams(
     k = -(-m // co)
     if not config.strategic:
         padded = np.full(k * co, -1, dtype=np.int64)
-        padded[:m] = state.rng.permutation(collaborators)
+        padded[:m] = state.draws.shuffled(collaborators)
         return padded.reshape(k, co)
     ids = np.asarray(collaborators, dtype=np.int64)
     order = np.lexsort((ids, -state.current_h[ids]))
     seeds = ids[order[:k]]
-    rest = state.rng.permutation(ids[order[k:]])
+    rest = state.draws.shuffled(ids[order[k:]])
     fill = np.full(k * (co - 1), -1, dtype=np.int64)
     fill[: rest.size] = rest
     return np.concatenate([seeds[:, None], fill.reshape(k, co - 1)], axis=1)
@@ -392,15 +411,12 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     live = age >= 1
 
     gained = np.zeros(p, dtype=np.int64)
-    gained[live] = draw_counts(
-        config.citation_kind,
-        state.citation_means[age[live]],
-        state.rng,
-        config.citation_dispersion,
-    )
+    for where, counts in state.draws.citations(config, state.citation_means, age, live):
+        gained[where] = counts
 
     if config.self_citation:
-        lead = _member_h(state.authors[:p], state.current_h) - state.citations[:p, None]
+        authors = state.authors[:p].astype(np.intp)  # see SimulationState
+        lead = _member_h(authors, state.current_h) - state.citations[:p, None]
         near_core = ((lead == 1) | (lead == 2)).any(axis=1)  # padding leads by -1 or less
         gained[live & near_core] += 1
 
@@ -482,7 +498,8 @@ def _credited_authors(rows: np.ndarray, current_h: np.ndarray) -> tuple[np.ndarr
 def _reassign_alpha_authors(state: SimulationState) -> None:
     """Re-credit every paper to its currently highest-h author (ties to smaller id)."""
     p = state.n_papers
-    state.alpha_author[:p] = _credited_authors(state.authors[:p], state.current_h)[0]
+    authors = state.authors[:p].astype(np.intp)  # see SimulationState
+    state.alpha_author[:p] = _credited_authors(authors, state.current_h)[0]
 
 
 def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetrics:
@@ -503,9 +520,142 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
     )
 
 
-def _run_one(config: SimulationConfig, run_index: int) -> RunResult:
+class _InlineDraws:
+    """A run's draws, made from its generator when a layer asks for them."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def collaborators(self, n: int, count: int) -> np.ndarray:
+        return self.rng.choice(n, size=count, replace=False)
+
+    def noise(self, n: int) -> np.ndarray:
+        return self.rng.standard_normal(n)
+
+    def shuffled(self, ids: np.ndarray) -> np.ndarray:
+        return self.rng.permutation(ids)
+
+    def citations(self, config, citation_means, age, live) -> list:
+        """(papers, counts) pairs that give every live paper its draw."""
+        means = citation_means[age[live]]
+        counts = draw_counts(config.citation_kind, means, self.rng, config.citation_dispersion)
+        return [(live, counts)]
+
+
+class _Stop(Exception):
+    """Ends the draw thread early: the run it draws for is over."""
+
+
+_FAILED = "failed"  # the kind of the last item a failed draw thread hands over
+
+
+class _DrawThread:
+    """A run's draws, made on a second thread about one period ahead of the layers.
+
+    Used as a context manager around a run's periods, right after
+    ``init_state``: it attaches itself as ``state.draws``, and on exit stops
+    and joins its thread. The thread makes the draws of ``_InlineDraws`` in
+    the same generator order and hands them over in order, so every number
+    is the same: a team shuffle is ``ids[rng.permutation(ids.size)]``, which
+    equals ``rng.permutation(ids)`` for 1-D ``ids``, and the citation counts
+    are drawn in chunks of ``_CHUNK`` live papers, one paper after the other
+    as in a single draw. The live papers of period t are the back catalog
+    and the teams' papers of periods 1..t-1, so the thread works out their
+    ages from the initial ages and the fixed number of teams per period; it
+    reads no array the layers write. An exception on the thread is raised
+    again in the layer that takes the draw it could not make. The queue
+    holds about one period's draws, which bounds how far ahead the thread gets.
+    """
+
+    def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
+        count, teams = _collaborator_count(config), _teams_per_period(config)
+        initial_ages = (-state.published_period[: state.n_papers]).astype(np.int32)
+        most_live = initial_ages.size + (config.periods - 1) * teams
+        self._state = state
+        self._stopping = False
+        self._queue = queue.Queue(maxsize=2 + -(-most_live // _CHUNK))
+        self._thread = threading.Thread(
+            target=self._run,
+            args=(config, state.rng, state.citation_means, initial_ages, count, teams),
+            name="halpha-draws",
+            daemon=True,
+        )
+
+    def __enter__(self) -> _DrawThread:
+        self._state.draws = self
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stopping = True
+        while self._thread.is_alive():
+            with contextlib.suppress(queue.Empty):  # frees a put the thread may wait in
+                self._queue.get_nowait()
+            self._thread.join(0.01)
+
+    def _put(self, kind: str, value) -> None:
+        if self._stopping:
+            raise _Stop
+        self._queue.put((kind, value))
+
+    def _run(self, config, rng, citation_means, initial_ages, count, teams) -> None:
+        try:
+            self._draw(config, rng, citation_means, initial_ages, count, teams)
+        except _Stop:
+            pass
+        except BaseException as exc:  # goes to the layers, which raise it
+            self._queue.put((_FAILED, exc))
+
+    def _draw(self, config, rng, citation_means, initial_ages, count, teams) -> None:
+        """Every draw of periods 1..periods, in the order the layers take them."""
+        n, back = config.n_agents, initial_ages.size
+        shuffled = count - teams if config.strategic else count
+        for period in range(1, config.periods + 1):
+            if count > 0:
+                if config.diligence_correlation == 0:
+                    self._put("collaborators", rng.choice(n, size=count, replace=False))
+                else:
+                    self._put("noise", rng.standard_normal(n))
+            self._put("shuffled", rng.permutation(shuffled))
+            live = back + (period - 1) * teams
+            for start in range(0, live, _CHUNK):
+                stop = min(start + _CHUNK, live)
+                # paper back + i came out in period i // teams + 1
+                before = (np.arange(max(start, back), stop) - back) // max(teams, 1)
+                age = np.concatenate((initial_ages[start:stop] + period, period - 1 - before))
+                counts = _checked_counts(draw_counts(
+                    config.citation_kind, citation_means[age], rng, config.citation_dispersion
+                ))
+                # the narrowest type that holds them: a period's counts wait in the queue
+                self._put("citations", counts.astype(np.min_scalar_type(counts.max())))
+
+    def _take(self, kind: str):
+        got, value = self._queue.get()
+        if got == _FAILED:
+            raise value
+        assert got == kind, f"the draw thread sent {got} where {kind} was due"
+        return value
+
+    def collaborators(self, n: int, count: int) -> np.ndarray:
+        return self._take("collaborators")
+
+    def noise(self, n: int) -> np.ndarray:
+        return self._take("noise")
+
+    def shuffled(self, ids: np.ndarray) -> np.ndarray:
+        return ids[self._take("shuffled")]
+
+    def citations(self, config, citation_means, age, live):
+        """(papers, counts) pairs as they arrive; the live papers are the first ones."""
+        live_count = np.count_nonzero(live)
+        for start in range(0, live_count, _CHUNK):
+            yield slice(start, min(start + _CHUNK, live_count)), self._take("citations")
+
+
+def _run_one(config: SimulationConfig, run_index: int, prefetch: bool = False) -> RunResult:
     state = init_state(config, run_index)
-    metrics = [step_period(state, config) for _ in range(config.periods)]
+    with _DrawThread(state, config) if prefetch else contextlib.nullcontext():
+        metrics = [step_period(state, config) for _ in range(config.periods)]
     return RunResult(run_index=run_index, initial_h=state.initial_h.copy(), periods=metrics)
 
 
@@ -545,6 +695,12 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     count is 1, when the OS cannot fork, and on Python 3.12 or later when
     this process has more than one thread (os.fork would warn). The pool is
     started and shut down within the call.
+
+    A run in this process on a host with more than one usable core makes its
+    draws on a second thread (``_DrawThread``), about one period ahead of the
+    index pass, which then runs while the next period's counts are drawn.
+    The draws and so the results are the same; the thread is joined before
+    the run ends, also when it fails. A pool worker draws inline.
     """
     if max_workers is not None:
         _check("max_workers", max_workers, _COUNT)
@@ -552,7 +708,8 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     if workers > 1:
         workers = min(workers, _usable_cores())
     if workers == 1 or not _can_fork():
-        return [_run_one(config, i) for i in range(config.runs)]
+        prefetch = _usable_cores() > 1
+        return [_run_one(config, i, prefetch) for i in range(config.runs)]
     # Imported here: a serial call, and importing the package, need neither.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context

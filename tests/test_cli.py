@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from copy import deepcopy
 from pathlib import Path
 
 import pytest
 
+from halpha_sim import engine
 from halpha_sim.cli import (
     FLOAT,
     PARAMETERS,
@@ -127,7 +129,7 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
     # the message names the flag at fault, not the engine field behind it
     flag = {"--citations-dist": "--citations-dispersion"}.get(flags[0], flags[0])
     message = capsys.readouterr().err.split("error:", 1)[1]
-    assert message.lstrip().startswith(flag) or f"argument {flag}:" in message
+    assert message.lstrip().startswith(flag)
     assert not re.search(r"\b(collab_share|master_seed|max_mean|citation_dispersion)\b", message)
     assert not out.exists()  # nothing ran, so no count was written
 
@@ -209,6 +211,75 @@ def test_a_count_past_int32_in_a_worker_is_a_runtime_error(tmp_path, capsys):
     assert main(["--out", str(out), "--seed", "1", *flags]) == 1
     assert "error: a paper's citation count would exceed 2147483647" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _cores(monkeypatch, n):
+    """Make this process see n usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "baseline"],
+    ["--scenario", "boost"],
+    ["--scenario", "diligence"],
+    ["--scenario", "strategic"],
+    ["--scenario", "boost", "--update-alpha", "--self-citations",
+     "--citations-dist", "nbinomial", "--citations-dispersion", "2"],
+])
+def test_a_run_on_the_draw_thread_writes_the_same_bytes(tmp_path, monkeypatch, flags):
+    # small chunks: a period's counts come in several, one across the back catalog's end
+    monkeypatch.setattr(engine, "_CHUNK", 100)
+    threads, enter = [], engine._DrawThread.__enter__
+
+    def recording_enter(self):
+        threads.append(self)
+        return enter(self)
+
+    monkeypatch.setattr(engine._DrawThread, "__enter__", recording_enter)
+
+    def run(cores):
+        _cores(monkeypatch, cores)
+        out = tmp_path / f"{cores}.csv"
+        argv = [*flags, "--agents", "60", "--runs", "1", "--periods", "12", "--seed", "5",
+                "--per-run", "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes(), per_run_path(out).read_bytes()
+
+    assert run(2) == run(1)
+    assert len(threads) == 1  # the two-core run drew on the thread, the one-core run did not
+
+
+def test_a_count_past_int32_on_the_draw_thread_is_the_same_runtime_error(
+    tmp_path, capsys, monkeypatch
+):
+    # no back catalog, so init_state draws no citations and the first count
+    # past 2**31 - 1 is drawn in a period: on the draw thread when there are two cores
+    flags = ["--agents", "20", "--runs", "1", "--periods", "5", "--papers-mean", "0",
+             "--citations-dist", "nbinomial", "--citations-dispersion", "0.01",
+             "--citations-mean", "1e8", "--seed", "1"]
+    raised_on, real = [], engine._checked_counts
+
+    def checked(counts):
+        try:
+            return real(counts)
+        except engine.DataError:
+            raised_on.append(threading.current_thread().name)
+            raise
+
+    monkeypatch.setattr(engine, "_checked_counts", checked)
+    outcomes = []
+    for cores in (2, 1):
+        _cores(monkeypatch, cores)
+        before = threading.active_count()
+        out = tmp_path / f"{cores}.csv"
+        outcomes.append((main(["--out", str(out), *flags]), capsys.readouterr().err))
+        assert threading.active_count() == before
+        assert not out.exists()
+    assert raised_on == ["halpha-draws", "MainThread"]
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 1
+    assert err.startswith("error: a paper's citation count would exceed 2147483647")
 
 
 def test_default_worker_count_writes_the_same_bytes_as_one_worker(tmp_path, monkeypatch):

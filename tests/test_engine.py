@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import math
 import os
+import sys
 import threading
 from datetime import timedelta
 
@@ -617,7 +618,8 @@ def test_engine_indices_match_model_on_random_configs(
 def test_state_routes_empty_slots_to_a_sentinel_paper():
     state = init_state(make_config(master_seed=8), 0)
     capacity = state.published_period.size
-    assert state.citations.dtype == state.alpha_author.dtype == state.current_h.dtype == np.int32
+    int32 = (state.citations, state.alpha_author, state.current_h, state.authors)
+    assert all(a.dtype == np.int32 for a in int32)
     assert state.citations.size == state.alpha_author.size == capacity + 1
     assert state.citations[capacity] == -1
     assert state.alpha_author[capacity] == EXTERNAL_AUTHOR
@@ -819,3 +821,76 @@ def test_runs_stay_in_process_where_the_fork_would_warn(monkeypatch, pool_sizes)
         thread.join()
     assert [r.run_index for r in results] == [0, 1, 2]
     assert pool_sizes == []
+
+
+# --- the draw thread ----------------------------------------------------------
+
+
+@pytest.fixture
+def draw_threads(monkeypatch):
+    """The _DrawThread of every run that draws on one."""
+    entered, enter = [], engine._DrawThread.__enter__
+
+    def recording_enter(self):
+        entered.append(self)
+        return enter(self)
+
+    monkeypatch.setattr(engine._DrawThread, "__enter__", recording_enter)
+    return entered
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
+    monkeypatch, draw_threads
+):
+    cfg = make_config(runs=3, master_seed=41, strategic=True)
+    _cores(monkeypatch, 1)
+    inline = run_experiment(cfg)
+    assert draw_threads == []
+    _cores(monkeypatch, 2)
+    # tiny chunks and thread switches every few bytecodes: the hand-over is
+    # stressed, and a draw taken out of order would change the results
+    monkeypatch.setattr(engine, "_CHUNK", 3)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_experiment(cfg, max_workers=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert len(draw_threads) == 3
+    assert np.array_equal(_flatten(threaded), _flatten(inline))
+    for a, b in zip(threaded, inline):
+        assert all(np.array_equal(p.teams, q.teams) for p, q in zip(a.periods, b.periods))
+
+
+def test_the_draw_thread_is_joined_when_the_run_fails(monkeypatch, draw_threads):
+    # many chunks per period, so the thread is still drawing, or waiting to hand
+    # over a draw, when the run stops in its second index pass
+    monkeypatch.setattr(engine, "_CHUNK", 4)
+    real, passes = engine._recompute_indices, []
+
+    def failing(state, recredit=False):
+        passes.append(state.period)
+        if len(passes) == 2:
+            raise DataError("stopped in period 1")
+        real(state, recredit)
+
+    monkeypatch.setattr(engine, "_recompute_indices", failing)
+    _cores(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(DataError, match="stopped in period 1"):
+        run_experiment(make_config(runs=1, periods=8))
+    assert threading.active_count() == before
+    assert len(draw_threads) == 1
+
+
+def test_pool_workers_draw_inline(monkeypatch, pool_sizes, draw_threads):
+    monkeypatch.setattr(engine, "_can_fork", lambda: True)  # nothing forks: see pool_sizes
+    _cores(monkeypatch, 2)
+    assert len(run_experiment(make_config(runs=2, periods=2))) == 2
+    assert pool_sizes == [2]
+    assert draw_threads == []
