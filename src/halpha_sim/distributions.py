@@ -81,11 +81,17 @@ def draw_counts(
     # min and max propagate NaN, so a NaN mean fails the first test
     if not (0 <= means.min(initial=0) and means.max(initial=0) < math.inf):
         raise ConfigurationError("count means must be finite and nonnegative")
+    if kind is not CountKind.POISSON:
+        _check("kind", kind, _KIND)
+        _check("dispersion", dispersion, _DISPERSION)
+        _check("dispersion", dispersion, _NB_DISPERSION)
+    return _sample_counts(kind, means, rng, dispersion, size)
+
+
+def _sample_counts(kind, means, rng, dispersion=None, size=None) -> np.ndarray:
+    """The draw of ``draw_counts``, for arguments it has already checked."""
     if kind is CountKind.POISSON:
         return rng.poisson(means, size=size)
-    _check("kind", kind, _KIND)
-    _check("dispersion", dispersion, _DISPERSION)
-    _check("dispersion", dispersion, _NB_DISPERSION)
     k = float(dispersion)  # type: ignore[arg-type]
     return rng.negative_binomial(k, k / (k + means), size=size)
 

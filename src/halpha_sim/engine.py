@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import queue
 import sys
 import threading
 import warnings
@@ -43,6 +42,7 @@ from .distributions import (
     _check_fields,
     _is_integer,
     _is_real,
+    _sample_counts,
     draw_counts,
     expected_citations,
 )
@@ -411,8 +411,13 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     live = age >= 1
 
     gained = np.zeros(p, dtype=np.int64)
-    for where, counts in state.draws.citations(config, state.citation_means, age, live):
-        gained[where] = counts
+    for where, rng in state.draws.citation_batches(live):
+        gained[where] = draw_counts(
+            config.citation_kind,
+            state.citation_means[age[where]],
+            rng,
+            config.citation_dispersion,
+        )
 
     if config.self_citation:
         authors = state.authors[:p].astype(np.intp)  # see SimulationState
@@ -535,11 +540,10 @@ class _InlineDraws:
     def shuffled(self, ids: np.ndarray) -> np.ndarray:
         return self.rng.permutation(ids)
 
-    def citations(self, config, citation_means, age, live) -> list:
-        """(papers, counts) pairs that give every live paper its draw."""
-        means = citation_means[age[live]]
-        counts = draw_counts(config.citation_kind, means, self.rng, config.citation_dispersion)
-        return [(live, counts)]
+    def citation_batches(self, live: np.ndarray) -> list:
+        """(papers, generator) pairs: draw_counts gives the papers their counts
+        from the generator, and together they cover every live paper."""
+        return [(live, self.rng)]
 
 
 class _Stop(Exception):
@@ -563,8 +567,15 @@ class _DrawThread:
     and the teams' papers of periods 1..t-1, so the thread works out their
     ages from the initial ages and the fixed number of teams per period; it
     reads no array the layers write. An exception on the thread is raised
-    again in the layer that takes the draw it could not make. The queue
-    holds about one period's draws, which bounds how far ahead the thread gets.
+    again in the layer that takes the draw it could not make, and a draw of
+    another kind or size than the layer asks for is a RuntimeError. The
+    queue holds about one period's draws, which bounds how far ahead the
+    thread gets.
+
+    The thread calls no layer function, only the generator and
+    ``_sample_counts``: ``cite_papers`` still calls ``draw_counts`` for each
+    chunk, with this object in place of the generator, so the checks of the
+    means and the call itself stay on the calling thread, inside the layer.
     """
 
     def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
@@ -573,6 +584,8 @@ class _DrawThread:
         most_live = initial_ages.size + (config.periods - 1) * teams
         self._state = state
         self._stopping = False
+        import queue  # here: importing the package, and a run in a pool worker, need no queue
+
         self._queue = queue.Queue(maxsize=2 + -(-most_live // _CHUNK))
         self._thread = threading.Thread(
             target=self._run,
@@ -587,6 +600,8 @@ class _DrawThread:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        import queue
+
         self._stopping = True
         while self._thread.is_alive():
             with contextlib.suppress(queue.Empty):  # frees a put the thread may wait in
@@ -623,33 +638,48 @@ class _DrawThread:
                 # paper back + i came out in period i // teams + 1
                 before = (np.arange(max(start, back), stop) - back) // max(teams, 1)
                 age = np.concatenate((initial_ages[start:stop] + period, period - 1 - before))
-                counts = _checked_counts(draw_counts(
+                counts = _checked_counts(_sample_counts(
                     config.citation_kind, citation_means[age], rng, config.citation_dispersion
                 ))
                 # the narrowest type that holds them: a period's counts wait in the queue
                 self._put("citations", counts.astype(np.min_scalar_type(counts.max())))
 
-    def _take(self, kind: str):
+    def _take(self, kind: str, size: int) -> np.ndarray:
         got, value = self._queue.get()
         if got == _FAILED:
             raise value
-        assert got == kind, f"the draw thread sent {got} where {kind} was due"
+        if got != kind or value.size != size:
+            raise RuntimeError(
+                f"the draw thread sent {got} of size {value.size} where {kind} of size "
+                f"{size} was due"
+            )
         return value
 
     def collaborators(self, n: int, count: int) -> np.ndarray:
-        return self._take("collaborators")
+        return self._take("collaborators", count)
 
     def noise(self, n: int) -> np.ndarray:
-        return self._take("noise")
+        return self._take("noise", n)
 
     def shuffled(self, ids: np.ndarray) -> np.ndarray:
-        return ids[self._take("shuffled")]
+        return ids[self._take("shuffled", ids.size)]
 
-    def citations(self, config, citation_means, age, live):
-        """(papers, counts) pairs as they arrive; the live papers are the first ones."""
+    def citation_batches(self, live: np.ndarray) -> list:
+        """One (papers, self) pair per chunk of live papers, which come first."""
         live_count = np.count_nonzero(live)
-        for start in range(0, live_count, _CHUNK):
-            yield slice(start, min(start + _CHUNK, live_count)), self._take("citations")
+        if not live[:live_count].all():
+            raise RuntimeError("the live papers are not the first ones")
+        starts = range(0, live_count, _CHUNK)
+        return [(slice(a, min(a + _CHUNK, live_count)), self) for a in starts]
+
+    # Stand-ins for the generator's samplers, which draw_counts calls: each
+    # returns the next chunk of counts the thread drew, in draw_counts' place.
+
+    def poisson(self, lam, size=None) -> np.ndarray:
+        return self._take("citations", np.size(lam))
+
+    def negative_binomial(self, n, p, size=None) -> np.ndarray:
+        return self._take("citations", np.size(p))
 
 
 def _run_one(config: SimulationConfig, run_index: int, prefetch: bool = False) -> RunResult:

@@ -888,6 +888,67 @@ def test_the_draw_thread_is_joined_when_the_run_fails(monkeypatch, draw_threads)
     assert len(draw_threads) == 1
 
 
+def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
+    # a tracer wraps the layer functions and keeps one stack of open calls per
+    # thread: every layer call stays on the calling thread, and cite_papers
+    # still gives every live paper its count through draw_counts
+    layers = ("step_period", "select_collaborators", "form_teams", "publish", "cite_papers",
+              "draw_counts", "_recompute_indices", "_reassign_alpha_authors")
+    calls, open_calls = [], []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            open_calls.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            caller = open_calls[-1] if open_calls else None
+            calls.append((name, threading.current_thread().name, caller, np.size(result)))
+            return result
+
+        return wrapped
+
+    for name in layers:
+        monkeypatch.setattr(engine, name, recording(name, getattr(engine, name)))
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    cfg = make_config(runs=1, periods=6, dynamic_alpha=True, self_citation=True,
+                      citation_kind=CountKind.NBINOMIAL, citation_dispersion=2.0)
+
+    def drawn(cores):
+        _cores(monkeypatch, cores)
+        calls.clear()
+        results = run_experiment(cfg)
+        assert {thread for _, thread, _, _ in calls} == {"MainThread"}
+        cited = [n for name, _, caller, n in calls
+                 if name == "draw_counts" and caller == "cite_papers"]
+        return _flatten(results), sum(cited), len(cited)
+
+    (one, live_one, calls_one), (two, live_two, calls_two) = drawn(1), drawn(2)
+    assert len(draw_threads) == 1
+    assert np.array_equal(one, two)
+    assert live_two == live_one > 0
+    assert calls_two > calls_one  # in chunks of 7 papers
+
+
+@pytest.mark.parametrize("helper, due", [
+    ("_collaborator_count", "collaborators"),  # the thread draws one collaborator too many
+    ("_teams_per_period", "citations"),  # it counts one paper too many from period 2 on
+])
+def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper, due):
+    cfg = make_config(runs=1, periods=3, collab_share=0.5)
+    state = init_state(cfg, 0)
+    right = getattr(engine, helper)(cfg)
+    monkeypatch.setattr(engine, helper, lambda config: right + 1)
+    draws = engine._DrawThread(state, cfg)
+    monkeypatch.undo()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"sent {due} of size .* was due"), draws:
+        for _ in range(cfg.periods):
+            step_period(state, cfg)
+    assert threading.active_count() == before
+
+
 def test_pool_workers_draw_inline(monkeypatch, pool_sizes, draw_threads):
     monkeypatch.setattr(engine, "_can_fork", lambda: True)  # nothing forks: see pool_sizes
     _cores(monkeypatch, 2)
