@@ -9,28 +9,13 @@ equal weights.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import RunResult
-from .errors import DataError
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _outside_package() -> int:
-    """The ``stacklevel`` that makes a warning issued by the caller report the
-    nearest frame outside this package: the line that called ``split_groups``
-    or ``aggregate``, not a line between them."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        level, frame = level + 1, frame.f_back
-    return level
+from .errors import DataError, _outside_package
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ cross-check this implementation in the test suite.
 
 Determinism: run ``i`` draws from a generator seeded with
 (master_seed, spawn_key=i), so results are independent of execution order
-and of how many runs share the experiment. After ``init_state`` a run's
-draws depend only on its config and that generator, never on h, so they can
-be made on a second thread ahead of the layers that use them (``_DrawThread``)
-in the same order, with the same results.
+and of how many runs share the experiment. The layers draw from the run's
+generator, ``state.rng``. After ``init_state`` those draws depend only on the
+config and the generator, never on h, so a second thread can make them ahead
+of the layers, in the same order and with the same results: a ``_DrawThread``
+then stands in for the generator.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .distributions import (
     draw_counts,
     expected_citations,
 )
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, _outside_package
 from .model import EXTERNAL_AUTHOR
 
 # Pre-simulation papers are one to five periods old at initialization.
@@ -60,8 +61,8 @@ COUNT_MAX = 2**31 - 1
 EXPECTED_MAX = 2**30
 # Upper limit on boost_size: round(h * boost_size) stays exact in int64.
 BOOST_SIZE_MAX = 2**10
-# Papers per citation draw on the draw thread: each draw's temporaries stay
-# small, and the layers can take a period's first chunks while it draws the rest.
+# Live papers per citation draw: each draw's temporaries stay small, and with
+# a draw thread the layers can take a period's first chunks while it draws the rest.
 _CHUNK = 2**14
 
 
@@ -157,7 +158,7 @@ class SimulationConfig:
             warnings.warn(
                 "diligence_correlation has no effect when collab_share is 1 "
                 "(every agent publishes every period)",
-                stacklevel=3,
+                stacklevel=_outside_package(),
             )
 
 
@@ -204,15 +205,14 @@ class SimulationState:
     ``citations`` and ``alpha_author`` through a contiguous index array about
     twice as fast. Indexing is the same in either order.
 
-    ``draws`` is the run's draw source: the layers take the collaborator
-    choice, the team shuffle and the citation counts from it. ``init_state``
-    attaches one that draws from ``rng`` when a layer asks;
-    ``run_experiment`` may replace it with a ``_DrawThread`` for the rest of
-    the run, which draws the same numbers from ``rng`` ahead of the layers.
+    ``rng`` is the run's generator, which the layers draw the collaborator
+    choice, the team shuffle and the citation counts from. ``run_experiment``
+    may put a ``_DrawThread`` in its place for the rest of the run, which
+    draws the same numbers from the generator ahead of the layers.
     """
 
     period: int
-    rng: np.random.Generator
+    rng: np.random.Generator | _DrawThread
     n_agents: int
     n_papers: int
     citations: np.ndarray
@@ -226,7 +226,6 @@ class SimulationState:
     current_h: np.ndarray
     current_h_alpha: np.ndarray
     citation_means: np.ndarray  # expected citations indexed by age
-    draws: _InlineDraws | _DrawThread
     diligence_z: np.ndarray | None = None
 
 
@@ -315,7 +314,6 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         current_h=np.zeros(n, dtype=np.int32),
         current_h_alpha=np.zeros(n, dtype=np.int64),
         citation_means=means,
-        draws=_InlineDraws(rng),
     )
     state.citations[capacity] = -1
     state.citations[:total_initial] = _checked_counts(citations)
@@ -348,9 +346,9 @@ def select_collaborators(state: SimulationState, config: SimulationConfig) -> np
     if count <= 0:
         return np.empty(0, dtype=np.int64)
     if config.diligence_correlation == 0:
-        return state.draws.collaborators(config.n_agents, count)
+        return state.rng.choice(config.n_agents, size=count, replace=False)
     rho = config.diligence_correlation
-    eps = state.draws.noise(config.n_agents)
+    eps = state.rng.standard_normal(config.n_agents)
     scores = rho * state.diligence_z + math.sqrt(1.0 - rho * rho) * eps
     return np.argsort(-scores, kind="stable")[:count].astype(np.int64)
 
@@ -370,12 +368,12 @@ def form_teams(
     k = -(-m // co)
     if not config.strategic:
         padded = np.full(k * co, -1, dtype=np.int64)
-        padded[:m] = state.draws.shuffled(collaborators)
+        padded[:m] = state.rng.permutation(collaborators)
         return padded.reshape(k, co)
     ids = np.asarray(collaborators, dtype=np.int64)
     order = np.lexsort((ids, -state.current_h[ids]))
     seeds = ids[order[:k]]
-    rest = state.draws.shuffled(ids[order[k:]])
+    rest = state.rng.permutation(ids[order[k:]])
     fill = np.full(k * (co - 1), -1, dtype=np.int64)
     fill[: rest.size] = rest
     return np.concatenate([seeds[:, None], fill.reshape(k, co - 1)], axis=1)
@@ -405,17 +403,25 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     two (if enabled). With the boost on, a paper receives
     round(boost_anchor * boost_size) additional citations once, in its first
     citation period; papers from before the simulation never see it.
+
+    The live papers come first, as papers are numbered in publication order.
+    Their counts are drawn in chunks of ``_CHUNK`` papers, one paper after
+    the other as in a single draw, so the chunk size never changes a number.
     """
     p = state.n_papers
     age = state.period - state.published_period[:p]
     live = age >= 1
+    live_count = np.count_nonzero(live)
+    if not live[:live_count].all():
+        raise RuntimeError("the live papers are not the first ones")
 
     gained = np.zeros(p, dtype=np.int64)
-    for where, rng in state.draws.citation_batches(live):
-        gained[where] = draw_counts(
+    for start in range(0, live_count, _CHUNK):
+        chunk = slice(start, min(start + _CHUNK, live_count))
+        gained[chunk] = draw_counts(
             config.citation_kind,
-            state.citation_means[age[where]],
-            rng,
+            state.citation_means[age[chunk]],
+            state.rng,
             config.citation_dispersion,
         )
 
@@ -525,27 +531,6 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
     )
 
 
-class _InlineDraws:
-    """A run's draws, made from its generator when a layer asks for them."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def collaborators(self, n: int, count: int) -> np.ndarray:
-        return self.rng.choice(n, size=count, replace=False)
-
-    def noise(self, n: int) -> np.ndarray:
-        return self.rng.standard_normal(n)
-
-    def shuffled(self, ids: np.ndarray) -> np.ndarray:
-        return self.rng.permutation(ids)
-
-    def citation_batches(self, live: np.ndarray) -> list:
-        """(papers, generator) pairs: draw_counts gives the papers their counts
-        from the generator, and together they cover every live paper."""
-        return [(live, self.rng)]
-
-
 class _Stop(Exception):
     """Ends the draw thread early: the run it draws for is over."""
 
@@ -557,15 +542,17 @@ class _DrawThread:
     """A run's draws, made on a second thread about one period ahead of the layers.
 
     Used as a context manager around a run's periods, right after
-    ``init_state``: it attaches itself as ``state.draws``, and on exit stops
-    and joins its thread. The thread makes the draws of ``_InlineDraws`` in
-    the same generator order and hands them over in order, so every number
-    is the same: a team shuffle is ``ids[rng.permutation(ids.size)]``, which
-    equals ``rng.permutation(ids)`` for 1-D ``ids``, and the citation counts
-    are drawn in chunks of ``_CHUNK`` live papers, one paper after the other
-    as in a single draw. The live papers of period t are the back catalog
-    and the teams' papers of periods 1..t-1, so the thread works out their
-    ages from the initial ages and the fixed number of teams per period; it
+    ``init_state``: it puts itself in ``state.rng``, and on exit stops and
+    joins its thread. It answers the five generator calls the layers and
+    ``draw_counts`` make (``choice``, ``standard_normal``, ``permutation``,
+    ``poisson`` and ``negative_binomial``) with the next draw from its queue.
+    The thread makes those draws from the run's generator in the order the
+    layers ask for them, so every number is the same: a team shuffle is
+    ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
+    for 1-D ``ids``, and the citation counts come in the chunks of ``_CHUNK``
+    live papers that ``cite_papers`` asks for. The thread works out each
+    chunk's ages as ``cite_papers`` does, from a publication schedule: the
+    back catalog's periods, then the fixed number of teams per period. It
     reads no array the layers write. An exception on the thread is raised
     again in the layer that takes the draw it could not make, and a draw of
     another kind or size than the layer asks for is a RuntimeError. The
@@ -573,29 +560,32 @@ class _DrawThread:
     thread gets.
 
     The thread calls no layer function, only the generator and
-    ``_sample_counts``: ``cite_papers`` still calls ``draw_counts`` for each
-    chunk, with this object in place of the generator, so the checks of the
-    means and the call itself stay on the calling thread, inside the layer.
+    ``_sample_counts``, so the checks in ``draw_counts`` stay on the calling
+    thread, inside the layer.
     """
 
     def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
         count, teams = _collaborator_count(config), _teams_per_period(config)
-        initial_ages = (-state.published_period[: state.n_papers]).astype(np.int32)
-        most_live = initial_ages.size + (config.periods - 1) * teams
+        born = np.concatenate(
+            (state.published_period[: state.n_papers],
+             np.repeat(np.arange(1, config.periods + 1, dtype=np.int32), teams)),
+            dtype=np.int32,
+        )
         self._state = state
         self._stopping = False
         import queue  # here: importing the package, and a run in a pool worker, need no queue
 
+        most_live = born.size - teams  # the live papers of the last period
         self._queue = queue.Queue(maxsize=2 + -(-most_live // _CHUNK))
         self._thread = threading.Thread(
             target=self._run,
-            args=(config, state.rng, state.citation_means, initial_ages, count, teams),
+            args=(config, state.rng, state.citation_means, born, count, teams),
             name="halpha-draws",
             daemon=True,
         )
 
     def __enter__(self) -> _DrawThread:
-        self._state.draws = self
+        self._state.rng = self
         self._thread.start()
         return self
 
@@ -613,17 +603,17 @@ class _DrawThread:
             raise _Stop
         self._queue.put((kind, value))
 
-    def _run(self, config, rng, citation_means, initial_ages, count, teams) -> None:
+    def _run(self, *args) -> None:
         try:
-            self._draw(config, rng, citation_means, initial_ages, count, teams)
+            self._draw(*args)
         except _Stop:
             pass
         except BaseException as exc:  # goes to the layers, which raise it
             self._queue.put((_FAILED, exc))
 
-    def _draw(self, config, rng, citation_means, initial_ages, count, teams) -> None:
+    def _draw(self, config, rng, citation_means, born, count, teams) -> None:
         """Every draw of periods 1..periods, in the order the layers take them."""
-        n, back = config.n_agents, initial_ages.size
+        n, back = config.n_agents, born.size - config.periods * teams
         shuffled = count - teams if config.strategic else count
         for period in range(1, config.periods + 1):
             if count > 0:
@@ -634,10 +624,7 @@ class _DrawThread:
             self._put("shuffled", rng.permutation(shuffled))
             live = back + (period - 1) * teams
             for start in range(0, live, _CHUNK):
-                stop = min(start + _CHUNK, live)
-                # paper back + i came out in period i // teams + 1
-                before = (np.arange(max(start, back), stop) - back) // max(teams, 1)
-                age = np.concatenate((initial_ages[start:stop] + period, period - 1 - before))
+                age = period - born[start : min(start + _CHUNK, live)]
                 counts = _checked_counts(_sample_counts(
                     config.citation_kind, citation_means[age], rng, config.citation_dispersion
                 ))
@@ -655,25 +642,17 @@ class _DrawThread:
             )
         return value
 
-    def collaborators(self, n: int, count: int) -> np.ndarray:
-        return self._take("collaborators", count)
+    # The generator calls of the layers and of draw_counts: each returns the
+    # next draw the thread made, checked against the kind and size asked for.
 
-    def noise(self, n: int) -> np.ndarray:
-        return self._take("noise", n)
+    def choice(self, a, size=None, replace=True) -> np.ndarray:
+        return self._take("collaborators", size)
 
-    def shuffled(self, ids: np.ndarray) -> np.ndarray:
-        return ids[self._take("shuffled", ids.size)]
+    def standard_normal(self, size=None) -> np.ndarray:
+        return self._take("noise", size)
 
-    def citation_batches(self, live: np.ndarray) -> list:
-        """One (papers, self) pair per chunk of live papers, which come first."""
-        live_count = np.count_nonzero(live)
-        if not live[:live_count].all():
-            raise RuntimeError("the live papers are not the first ones")
-        starts = range(0, live_count, _CHUNK)
-        return [(slice(a, min(a + _CHUNK, live_count)), self) for a in starts]
-
-    # Stand-ins for the generator's samplers, which draw_counts calls: each
-    # returns the next chunk of counts the thread drew, in draw_counts' place.
+    def permutation(self, x) -> np.ndarray:
+        return x[self._take("shuffled", x.size)]
 
     def poisson(self, lam, size=None) -> np.ndarray:
         return self._take("citations", np.size(lam))

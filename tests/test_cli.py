@@ -1,5 +1,6 @@
 """Preset expansion, flag handling, exit codes, and output files."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,16 +8,24 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from copy import deepcopy
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import halpha_sim
 from halpha_sim import engine
 from halpha_sim.cli import (
+    _DISTS,
+    DIST,
     FLOAT,
+    INT,
     PARAMETERS,
     PRESETS,
+    SWITCH,
     build_parser,
     config_echo_path,
     main,
@@ -227,8 +236,6 @@ def _cores(monkeypatch, n):
      "--citations-dist", "nbinomial", "--citations-dispersion", "2"],
 ])
 def test_a_run_on_the_draw_thread_writes_the_same_bytes(tmp_path, monkeypatch, flags):
-    # small chunks: a period's counts come in several, one across the back catalog's end
-    monkeypatch.setattr(engine, "_CHUNK", 100)
     threads, enter = [], engine._DrawThread.__enter__
 
     def recording_enter(self):
@@ -245,7 +252,10 @@ def test_a_run_on_the_draw_thread_writes_the_same_bytes(tmp_path, monkeypatch, f
         assert main(argv) == 0
         return out.read_bytes(), per_run_path(out).read_bytes()
 
-    assert run(2) == run(1)
+    reference = run(1)  # one draw per period: fewer live papers than the default chunk
+    # small chunks: a period's counts come in several, one across the back catalog's end
+    monkeypatch.setattr(engine, "_CHUNK", 100)
+    assert run(2) == reference
     assert len(threads) == 1  # the two-core run drew on the thread, the one-core run did not
 
 
@@ -462,3 +472,71 @@ def test_cli_start_up_imports_no_process_machinery():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call", [
+    lambda out: scenario_config("baseline", 1, diligence_corr=0.5),
+    lambda out: dataclasses.replace(scenario_config("baseline", 1), diligence_correlation=0.5),
+    lambda out: main([*FAST, "--diligence-corr", "0.5", "--out", str(out)]),
+], ids=["scenario_config", "dataclasses.replace", "main"])
+def test_the_diligence_warning_points_at_the_caller(tmp_path, capsys, call):
+    # the line in this file that called into the package, not one inside it
+    # or in the dataclass machinery between them
+    with pytest.warns(UserWarning, match="diligence_correlation has no effect") as record:
+        call(tmp_path / "x.csv")
+    assert [w.filename for w in record] == [__file__]
+
+
+# Values no rule may be surprised by: the tiniest and largest finite floats,
+# negative zero, and integers just past int32 and past 64 bits.
+_EXTREME_INTS = [-1, 0, 1, 2**31 - 1, 2**31, 2**63, 2**64]
+_EXTREME_FLOATS = [5e-324, 1.7976931348623157e308, -0.0, 0.0, 2.0**31, 2.0**64,
+                   math.nan, math.inf, -math.inf, -1e-3]
+_BY_KIND = {  # keyed by id: the kinds are dicts
+    id(INT): st.one_of(st.sampled_from(_EXTREME_INTS), st.integers(1, 4), st.integers()),
+    id(FLOAT): st.one_of(st.sampled_from(_EXTREME_FLOATS), st.floats(0, 1), st.floats(0, 4),
+                       st.floats()),
+    id(DIST): st.sampled_from(_DISTS),
+    id(SWITCH): st.booleans(),
+}
+# The parameters that size a run, capped so that every example is small; the
+# first three are given at their cap when not drawn.
+_CAPS = {"runs": 2, "agents": 30, "periods": 6, "papers_mean": 20.0}
+
+
+@st.composite
+def _flags(draw) -> list[str]:
+    """A few parameters, each with a value drawn by its kind, and the run's size."""
+    values = {name: _CAPS[name] for name in ("runs", "agents", "periods")}
+    for p in draw(st.lists(st.sampled_from(PARAMETERS), max_size=5, unique_by=lambda p: p.name)):
+        value = draw(_BY_KIND[id(p.flag)])
+        values[p.name] = min(value, _CAPS[p.name]) if p.name in _CAPS else value  # keeps nan
+    argv = []
+    for name, value in values.items():
+        if value is not False:
+            argv.append("--" + name.replace("_", "-"))
+            argv += [] if value is True else [str(value)]  # a negative one, too
+    return argv
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_flags(), seed=st.sampled_from([0, 1, 2**64 - 1]))
+def test_every_parameter_value_is_accepted_or_rejected_cleanly(tmp_path, capsys, monkeypatch,
+                                                                argv, seed):
+    # exit 0; exit 2, a usage error; or exit 1 with an error line. Never a
+    # traceback, and no warning that points into the package.
+    _cores(monkeypatch, 1)  # the runs stay in this process: no pool per example
+    package = os.path.dirname(halpha_sim.__file__) + os.sep
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main([*argv, f"--seed={seed}", "--out", str(tmp_path / "x.csv")])
+        except SystemExit as exc:
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert code != 1 or err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert [(w.filename, w.lineno, str(w.message)) for w in caught
+            if w.filename.startswith(package)] == []

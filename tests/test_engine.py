@@ -891,7 +891,7 @@ def test_the_draw_thread_is_joined_when_the_run_fails(monkeypatch, draw_threads)
 def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
     # a tracer wraps the layer functions and keeps one stack of open calls per
     # thread: every layer call stays on the calling thread, and cite_papers
-    # still gives every live paper its count through draw_counts
+    # gives every live paper its count through draw_counts on both paths
     layers = ("step_period", "select_collaborators", "form_teams", "publish", "cite_papers",
               "draw_counts", "_recompute_indices", "_reassign_alpha_authors")
     calls, open_calls = [], []
@@ -928,7 +928,30 @@ def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
     assert len(draw_threads) == 1
     assert np.array_equal(one, two)
     assert live_two == live_one > 0
-    assert calls_two > calls_one  # in chunks of 7 papers
+    assert calls_two == calls_one > cfg.periods  # in chunks of 7 papers on both paths
+
+
+@pytest.mark.parametrize("cfg", [
+    make_config(runs=2, n_agents=30, periods=6),
+    make_config(runs=2, n_agents=30, periods=6, citation_kind=CountKind.NBINOMIAL,
+                citation_dispersion=1.5, self_citation=True, boost_size=0.5),
+    make_config(runs=2, n_agents=30, periods=6, strategic=True, dynamic_alpha=True),
+], ids=["poisson", "nbinomial", "strategic"])
+def test_the_chunk_size_does_not_change_a_run(monkeypatch, draw_threads, cfg):
+    # every path draws its live papers' counts in chunks of _CHUNK; a chunk
+    # draws one paper after the other, as one draw over all of them would
+    _cores(monkeypatch, 1)
+
+    def run(chunk):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        results = run_experiment(cfg)
+        teams = [pm.teams for run in results for pm in run.periods]
+        return _flatten(results), np.concatenate([t.ravel() for t in teams])
+
+    default = run(engine._CHUNK)
+    for chunk in (1, 3):
+        assert all(np.array_equal(a, b) for a, b in zip(run(chunk), default))
+    assert draw_threads == []  # in this process, with no draw thread
 
 
 @pytest.mark.parametrize("helper, due", [
