@@ -25,9 +25,11 @@ import contextlib
 import math
 import os
 import sys
-import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from statistics import NormalDist
 
 import numpy as np
@@ -73,7 +75,7 @@ _SWITCH = (lambda v: isinstance(v, bool), "a boolean")
 # The (test, description) rule of each SimulationConfig field, in field order,
 # which is the order they are checked in. The citation mean is AgingCurve's.
 _CONFIG_RULES = {
-    "runs": _COUNT,
+    "runs": (lambda v: _is_integer(v) and 1 <= v <= EXPECTED_MAX, "an integer in [1, 2**30]"),
     "n_agents": _COUNT,
     "periods": _COUNT,
     "coauthors_mean": _COUNT,
@@ -531,40 +533,38 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
     )
 
 
-class _Stop(Exception):
-    """Ends the draw thread early: the run it draws for is over."""
-
-
-_FAILED = "failed"  # the kind of the last item a failed draw thread hands over
-
-
 class _DrawThread:
     """A run's draws, made on a second thread about one period ahead of the layers.
 
     Used as a context manager around a run's periods, right after
-    ``init_state``: it puts itself in ``state.rng``, and on exit stops and
-    joins its thread. It answers the five generator calls the layers and
+    ``init_state``: it puts itself in ``state.rng``, and on exit shuts down
+    its one-worker executor, which cancels the draws not yet started and
+    joins the thread. It answers the five generator calls the layers and
     ``draw_counts`` make (``choice``, ``standard_normal``, ``permutation``,
-    ``poisson`` and ``negative_binomial``) with the next draw from its queue.
-    The thread makes those draws from the run's generator in the order the
-    layers ask for them, so every number is the same: a team shuffle is
+    ``poisson`` and ``negative_binomial``) with the result of the next draw
+    it submitted. ``_draw`` lists those draws on the calling thread, in the
+    order the layers ask for them, and the worker makes them from the run's
+    generator in that order, so every number is the same: a team shuffle is
     ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
-    for 1-D ``ids``, and the citation counts come in the chunks of ``_CHUNK``
-    live papers that ``cite_papers`` asks for. The thread works out each
-    chunk's ages as ``cite_papers`` does, from a publication schedule: the
-    back catalog's periods, then the fixed number of teams per period. It
-    reads no array the layers write. An exception on the thread is raised
-    again in the layer that takes the draw it could not make, and a draw of
-    another kind or size than the layer asks for is a RuntimeError. The
-    queue holds about one period's draws, which bounds how far ahead the
-    thread gets.
+    for 1-D ``ids``, and the citation counts come in the chunks of
+    ``_CHUNK`` live papers that ``cite_papers`` asks for. Each chunk's ages
+    come from a publication schedule, as ``cite_papers`` works them out: the
+    back catalog's periods, then the fixed number of teams per period. No
+    draw reads an array the layers write. An exception in a draw is raised
+    again in the layer that takes it, and a draw of another kind or size
+    than the layer asks for is a RuntimeError. About one period's draws are
+    submitted at the start and one more at each take, which bounds how far
+    ahead the worker gets.
 
-    The thread calls no layer function, only the generator and
+    The worker calls no layer function, only the generator and
     ``_sample_counts``, so the checks in ``draw_counts`` stay on the calling
     thread, inside the layer.
     """
 
     def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
+        # here: importing the package, and a run in a pool worker, need no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
         count, teams = _collaborator_count(config), _teams_per_period(config)
         born = np.concatenate(
             (state.published_period[: state.n_papers],
@@ -572,75 +572,49 @@ class _DrawThread:
             dtype=np.int32,
         )
         self._state = state
-        self._stopping = False
-        import queue  # here: importing the package, and a run in a pool worker, need no queue
-
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
+        draws = self._draw(config, state.rng, state.citation_means, born, count, teams)
+        self._submitted = ((kind, size, self._pool.submit(draw)) for kind, size, draw in draws)
         most_live = born.size - teams  # the live papers of the last period
-        self._queue = queue.Queue(maxsize=2 + -(-most_live // _CHUNK))
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(config, state.rng, state.citation_means, born, count, teams),
-            name="halpha-draws",
-            daemon=True,
-        )
+        self._ahead = 2 + -(-most_live // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
         self._state.rng = self
-        self._thread.start()
+        self._pending = deque(islice(self._submitted, self._ahead))
         return self
 
     def __exit__(self, *exc_info) -> None:
-        import queue
+        self._pool.shutdown(cancel_futures=True)
 
-        self._stopping = True
-        while self._thread.is_alive():
-            with contextlib.suppress(queue.Empty):  # frees a put the thread may wait in
-                self._queue.get_nowait()
-            self._thread.join(0.01)
-
-    def _put(self, kind: str, value) -> None:
-        if self._stopping:
-            raise _Stop
-        self._queue.put((kind, value))
-
-    def _run(self, *args) -> None:
-        try:
-            self._draw(*args)
-        except _Stop:
-            pass
-        except BaseException as exc:  # goes to the layers, which raise it
-            self._queue.put((_FAILED, exc))
-
-    def _draw(self, config, rng, citation_means, born, count, teams) -> None:
-        """Every draw of periods 1..periods, in the order the layers take them."""
+    @staticmethod
+    def _draw(config, rng, citation_means, born, count, teams):
+        """Every draw of periods 1..periods, in the order the layers take them,
+        as (kind, size, draw): ``draw()`` makes it from the generator."""
         n, back = config.n_agents, born.size - config.periods * teams
         shuffled = count - teams if config.strategic else count
         for period in range(1, config.periods + 1):
             if count > 0:
                 if config.diligence_correlation == 0:
-                    self._put("collaborators", rng.choice(n, size=count, replace=False))
+                    yield "collaborators", count, partial(rng.choice, n, size=count, replace=False)
                 else:
-                    self._put("noise", rng.standard_normal(n))
-            self._put("shuffled", rng.permutation(shuffled))
+                    yield "noise", n, partial(rng.standard_normal, n)
+            yield "shuffled", shuffled, partial(rng.permutation, shuffled)
             live = back + (period - 1) * teams
             for start in range(0, live, _CHUNK):
-                age = period - born[start : min(start + _CHUNK, live)]
-                counts = _checked_counts(_sample_counts(
-                    config.citation_kind, citation_means[age], rng, config.citation_dispersion
-                ))
-                # the narrowest type that holds them: a period's counts wait in the queue
-                self._put("citations", counts.astype(np.min_scalar_type(counts.max())))
+                chunk = born[start : min(start + _CHUNK, live)]
+                yield "citations", chunk.size, partial(
+                    _citation_draw, config, citation_means, rng, period, chunk
+                )
 
     def _take(self, kind: str, size: int) -> np.ndarray:
-        got, value = self._queue.get()
-        if got == _FAILED:
-            raise value
-        if got != kind or value.size != size:
+        self._pending.extend(islice(self._submitted, 1))
+        got, got_size, future = self._pending.popleft() if self._pending else ("nothing", 0, None)
+        if got != kind or got_size != size:
             raise RuntimeError(
-                f"the draw thread sent {got} of size {value.size} where {kind} of size "
+                f"the draw thread sent {got} of size {got_size} where {kind} of size "
                 f"{size} was due"
             )
-        return value
+        return future.result()
 
     # The generator calls of the layers and of draw_counts: each returns the
     # next draw the thread made, checked against the kind and size asked for.
@@ -659,6 +633,15 @@ class _DrawThread:
 
     def negative_binomial(self, n, p, size=None) -> np.ndarray:
         return self._take("citations", np.size(p))
+
+
+def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
+    """The counts of the live papers published in ``born`` for ``period``, in
+    the narrowest type that holds them: a period's counts wait for the layers."""
+    counts = _checked_counts(_sample_counts(
+        config.citation_kind, citation_means[period - born], rng, config.citation_dispersion
+    ))
+    return counts.astype(np.min_scalar_type(counts.max()))
 
 
 def _run_one(config: SimulationConfig, run_index: int, prefetch: bool = False) -> RunResult:
@@ -706,10 +689,12 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     started and shut down within the call.
 
     A run in this process on a host with more than one usable core makes its
-    draws on a second thread (``_DrawThread``), about one period ahead of the
-    index pass, which then runs while the next period's counts are drawn.
-    The draws and so the results are the same; the thread is joined before
-    the run ends, also when it fails. A pool worker draws inline.
+    draws on a second thread (``_DrawThread``: a one-worker executor, whose
+    thread is named ``halpha-draws_0``), about one period ahead of the index
+    pass, which then runs while the next period's counts are drawn. The
+    draws and so the results are the same; the executor is shut down and its
+    thread joined before the run ends, also when it fails. A pool worker
+    draws inline.
     """
     if max_workers is not None:
         _check("max_workers", max_workers, _COUNT)

@@ -128,6 +128,9 @@ def test_unknown_flag_is_usage_error():
          "--agents", "10", "--runs", "1", "--periods", "3"],
         ["--citations-dispersion", "1e-300", "--citations-dist", "nbinomial",
          "--agents", "10", "--runs", "1", "--periods", "3"],
+        # runs are at most 2**30, as agents and periods are; past 2**63 - 1 the
+        # list of the pool's tasks could not even be built
+        ["--runs", "9223372036854775808", "--agents", "2", "--periods", "1"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
@@ -285,7 +288,7 @@ def test_a_count_past_int32_on_the_draw_thread_is_the_same_runtime_error(
         outcomes.append((main(["--out", str(out), *flags]), capsys.readouterr().err))
         assert threading.active_count() == before
         assert not out.exists()
-    assert raised_on == ["halpha-draws", "MainThread"]
+    assert raised_on == ["halpha-draws_0", "MainThread"]
     assert outcomes[0] == outcomes[1]
     code, err = outcomes[0]
     assert code == 1

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import threading
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -117,6 +118,8 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"citation_kind": "poisson", "citation_dispersion": 2.0},
         {"strategic": 1},
         {"alpha_share": "0.3"},
+        # runs have the limit of agents and periods
+        {"runs": 2**30 + 1},
     ],
 )
 def test_config_validation(overrides):
@@ -929,6 +932,43 @@ def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
     assert np.array_equal(one, two)
     assert live_two == live_one > 0
     assert calls_two == calls_one > cfg.periods  # in chunks of 7 papers on both paths
+
+
+def test_the_draw_thread_stays_about_one_period_ahead(monkeypatch, draw_threads):
+    # the counts the thread has drawn and the layers not yet taken are held in
+    # memory: at each take they are at most one period's chunks and two more
+    made, takes, gaps = [], [], []
+    sample, draw, cite, index_pass = (engine._sample_counts, engine.draw_counts,
+                                      engine.cite_papers, engine._recompute_indices)
+
+    def sampling(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            made.append(None)
+        return sample(*args, **kwargs)
+
+    def citing(state, config):
+        takes.append(0)
+        cite(state, config)
+
+    def drawing(*args, **kwargs):
+        if takes:  # from cite_papers: init_state's draws come before its first call
+            takes[-1] += 1
+            gaps.append(len(made) - sum(takes))
+        return draw(*args, **kwargs)
+
+    def slow_pass(state, recredit=False):  # gives the thread time to draw ahead
+        time.sleep(0.005)
+        index_pass(state, recredit)
+
+    for name, fn in [("_sample_counts", sampling), ("cite_papers", citing),
+                     ("draw_counts", drawing), ("_recompute_indices", slow_pass)]:
+        monkeypatch.setattr(engine, name, fn)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    _cores(monkeypatch, 2)
+    run_experiment(make_config(runs=1, periods=6))
+    assert len(draw_threads) == 1
+    assert len(made) == sum(takes) > len(takes) == 6  # several chunks per period
+    assert max(gaps) <= max(takes) + 2
 
 
 @pytest.mark.parametrize("cfg", [
