@@ -259,8 +259,8 @@ def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
     try:
         runs = run_experiment(config)
         result = aggregate(runs)
-    except (ConfigurationError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, DataError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
     try:

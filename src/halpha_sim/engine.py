@@ -190,7 +190,8 @@ class SimulationState:
 
     Paper rows 0..n_papers-1 are valid; ``authors`` pads short teams with -1.
     It is int32, to halve its memory, and is cast to intp before numpy
-    gathers through it, which is about 3x slower through an int32 index.
+    gathers through it, which is about 3x slower through an int32 index; so
+    are the ages ``cite_papers`` works out from ``published_period``.
     ``agent_papers[i, :agent_paper_counts[i]]`` lists agent i's paper ids, and
     its empty slots hold the id ``capacity`` of a sentinel paper: entry
     ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
@@ -209,8 +210,8 @@ class SimulationState:
 
     ``rng`` is the run's generator, which the layers draw the collaborator
     choice, the team shuffle and the citation counts from. ``run_experiment``
-    may put a ``_DrawThread`` in its place for the rest of the run, which
-    draws the same numbers from the generator ahead of the layers.
+    may put a ``_DrawThread`` in its place, which draws the same numbers ahead
+    of the layers, reading the read-only ``published_period`` and ``citation_means``.
     """
 
     period: int
@@ -218,7 +219,7 @@ class SimulationState:
     n_agents: int
     n_papers: int
     citations: np.ndarray
-    published_period: np.ndarray
+    published_period: np.ndarray  # int32 schedule: each paper id's period; read-only
     alpha_author: np.ndarray
     boost_anchor: np.ndarray  # max author h at publication, frozen; 0 in the back catalog
     authors: np.ndarray
@@ -227,7 +228,7 @@ class SimulationState:
     initial_h: np.ndarray
     current_h: np.ndarray
     current_h_alpha: np.ndarray
-    citation_means: np.ndarray  # expected citations indexed by age
+    citation_means: np.ndarray  # expected citations indexed by age; read-only
     diligence_z: np.ndarray | None = None
 
 
@@ -256,7 +257,7 @@ def _team_width(config: SimulationConfig) -> int:
 
 
 def _teams_per_period(config: SimulationConfig) -> int:
-    return -(-_collaborator_count(config) // config.coauthors_mean)
+    return -(-_collaborator_count(config) // _team_width(config))  # form_teams' rows
 
 
 def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
@@ -293,9 +294,11 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
                 config.citation_kind, means[a], rng, config.citation_dispersion, size=cnt
             )
 
-    capacity = total_initial + config.periods * _teams_per_period(config)
+    teams = _teams_per_period(config)
+    capacity = total_initial + config.periods * teams
     if capacity >= COUNT_MAX:  # the sentinel's id must fit too
         raise DataError(f"{capacity} papers exceed the table limit of {COUNT_MAX - 1}")
+    schedule = np.repeat(np.arange(1, config.periods + 1, dtype=np.int32), teams)
 
     state = SimulationState(
         period=0,
@@ -303,7 +306,7 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
         n_agents=n,
         n_papers=total_initial,
         citations=np.zeros(capacity + 1, dtype=np.int32),
-        published_period=np.zeros(capacity, dtype=np.int64),
+        published_period=np.concatenate((-ages, schedule), dtype=np.int32),
         alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
         boost_anchor=np.zeros(capacity, dtype=np.int64),
         authors=np.full((capacity, _team_width(config)), -1, dtype=np.int32),
@@ -319,7 +322,6 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
     )
     state.citations[capacity] = -1
     state.citations[:total_initial] = _checked_counts(citations)
-    state.published_period[:total_initial] = -ages
     state.alpha_author[:total_initial] = np.where(is_own_alpha, owner, EXTERNAL_AUTHOR)
     state.authors[:total_initial, 0] = owner
 
@@ -332,6 +334,8 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
 
     if config.diligence_correlation > 0:
         state.diligence_z = rank_normal_scores(state.initial_h)
+    state.published_period.flags.writeable = False  # both read by the draw thread
+    state.citation_means.flags.writeable = False
     return state
 
 
@@ -382,10 +386,11 @@ def form_teams(
 
 
 def publish(teams: np.ndarray, state: SimulationState, config: SimulationConfig) -> None:
-    """Append one zero-citation paper per team, crediting the highest-h member."""
+    """Append one zero-citation paper per team, crediting the highest-h member.
+    They are the papers ``published_period`` holds for ``state.period``: call it
+    once per period, after advancing ``state.period``, as ``step_period`` does."""
     k = teams.shape[0]
     ids = state.n_papers + np.arange(k)
-    state.published_period[ids] = state.period
     state.alpha_author[ids], state.boost_anchor[ids] = _credited_authors(teams, state.current_h)
     state.authors[ids, : teams.shape[1]] = teams
     state.n_papers += k
@@ -422,7 +427,7 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
         chunk = slice(start, min(start + _CHUNK, live_count))
         gained[chunk] = draw_counts(
             config.citation_kind,
-            state.citation_means[age[chunk]],
+            state.citation_means[age[chunk].astype(np.intp)],  # see SimulationState
             state.rng,
             config.citation_dispersion,
         )
@@ -548,13 +553,12 @@ class _DrawThread:
     ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
     for 1-D ``ids``, and the citation counts come in the chunks of
     ``_CHUNK`` live papers that ``cite_papers`` asks for. Each chunk's ages
-    come from a publication schedule, as ``cite_papers`` works them out: the
-    back catalog's periods, then the fixed number of teams per period. No
-    draw reads an array the layers write. An exception in a draw is raised
-    again in the layer that takes it, and a draw of another kind or size
-    than the layer asks for is a RuntimeError. About one period's draws are
-    submitted at the start and one more at each take, which bounds how far
-    ahead the worker gets.
+    come from ``state.published_period``, as ``cite_papers`` works them out.
+    That schedule and ``citation_means`` are read-only, and a draw reads no
+    other array. An exception in a draw is raised again in the layer that
+    takes it, and a draw of another kind or size than the layer asks for is
+    a RuntimeError. About one period's draws are submitted at the start and
+    one more at each take, which bounds how far ahead the worker gets.
 
     The worker calls no layer function, only the generator and
     ``_sample_counts``, so the checks in ``draw_counts`` stay on the calling
@@ -566,16 +570,12 @@ class _DrawThread:
         from concurrent.futures import ThreadPoolExecutor
 
         count, teams = _collaborator_count(config), _teams_per_period(config)
-        born = np.concatenate(
-            (state.published_period[: state.n_papers],
-             np.repeat(np.arange(1, config.periods + 1, dtype=np.int32), teams)),
-            dtype=np.int32,
-        )
         self._state = state
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
-        draws = self._draw(config, state.rng, state.citation_means, born, count, teams)
+        draws = self._draw(config, state.rng, state.citation_means, state.published_period,
+                           state.n_papers, count, teams)
         self._submitted = ((kind, size, self._pool.submit(draw)) for kind, size, draw in draws)
-        most_live = born.size - teams  # the live papers of the last period
+        most_live = state.n_papers + (config.periods - 1) * teams  # the last period's live papers
         self._ahead = 2 + -(-most_live // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
@@ -587,10 +587,10 @@ class _DrawThread:
         self._pool.shutdown(cancel_futures=True)
 
     @staticmethod
-    def _draw(config, rng, citation_means, born, count, teams):
+    def _draw(config, rng, citation_means, born, back, count, teams):
         """Every draw of periods 1..periods, in the order the layers take them,
         as (kind, size, draw): ``draw()`` makes it from the generator."""
-        n, back = config.n_agents, born.size - config.periods * teams
+        n = config.n_agents
         shuffled = count - teams if config.strategic else count
         for period in range(1, config.periods + 1):
             if count > 0:
@@ -691,10 +691,10 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     A run in this process on a host with more than one usable core makes its
     draws on a second thread (``_DrawThread``: a one-worker executor, whose
     thread is named ``halpha-draws_0``), about one period ahead of the index
-    pass, which then runs while the next period's counts are drawn. The
-    draws and so the results are the same; the executor is shut down and its
-    thread joined before the run ends, also when it fails. A pool worker
-    draws inline.
+    pass, which then runs while the next period's counts are drawn. Besides the
+    generator it reads only two read-only arrays, and the draws and so the results
+    are the same; the executor is shut down and its thread joined before the run
+    ends, also when it fails. A pool worker draws inline.
     """
     if max_workers is not None:
         _check("max_workers", max_workers, _COUNT)

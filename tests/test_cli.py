@@ -230,6 +230,26 @@ def _cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+@pytest.mark.parametrize("runs, cores", [("1", 1), ("2", 2)], ids=["in_process", "worker"])
+def test_an_experiment_too_large_for_memory_is_an_error_line(
+    tmp_path, capsys, monkeypatch, runs, cores
+):
+    # numpy's MemoryError from init_state: on one core in this process, and
+    # over two runs in a forked worker, as the DataError above
+    def init_state(config, run_index):
+        raise MemoryError("Unable to allocate 763. MiB for an array with shape (100000000,)")
+
+    monkeypatch.setattr(engine, "init_state", init_state)
+    _cores(monkeypatch, cores)
+    out = tmp_path / "x.csv"
+    flags = ["--agents", "20", "--runs", runs, "--periods", "3", "--seed", "1"]
+    assert main(["--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 763. MiB")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--scenario", "baseline"],
     ["--scenario", "boost"],

@@ -388,6 +388,7 @@ def test_boost_pays_once_in_first_citation_period():
     cfg = quiet_config(boost_size=0.5)
     state = init_state(cfg, 0)
     state.current_h = np.array([11, 3, 0, 0])
+    state.period += 1  # publish in period 1, as step_period does
     publish(np.array([[0, 1]]), state, cfg)
     state.period += 1
     cite_papers(state, cfg)  # age 1: round(11 * .5) = 6
@@ -411,6 +412,7 @@ def test_self_citation_window_of_one_or_two():
     cfg = quiet_config(self_citation=True)
     state = init_state(cfg, 0)
     state.current_h = np.array([7, 9, 0, 0])
+    state.period += 1  # publish in period 1, as step_period does
     publish(np.array([[0, -1], [1, -1]]), state, cfg)
     state.citations[0] = 6  # h 7 leads by 1: self-cited
     state.citations[1] = 6  # h 9 leads by 3: not self-cited
@@ -424,6 +426,7 @@ def test_cite_papers_raises_instead_of_wrapping():
     cfg = quiet_config(boost_size=0.5)
     state = init_state(cfg, 0)
     state.current_h = np.array([11, 3, 0, 0], dtype=np.int32)
+    state.period += 1  # publish in period 1, as step_period does
     publish(np.array([[0, 1]]), state, cfg)
     state.citations[0] = COUNT_MAX - 5  # the age-1 boost of 6 would pass the int32 limit
     state.period += 1
@@ -482,6 +485,31 @@ def test_step_period_counts_and_bounds():
     for pm in metrics:
         assert (pm.h_alpha <= pm.h).all()
         assert (pm.h <= pm.paper_counts).all()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"strategic": True},
+    {"collab_share": 0.6},
+    {"coauthors_mean": 50, "strategic": True},  # teams as wide as the 20 agents
+    {"paper_mean": 0.0},
+    {"collab_share": 0.01},  # round(0.2) is 0: no publisher in any period
+], ids=["strategic", "share", "wide", "no_back_catalog", "no_publisher"])
+def test_the_schedule_holds_the_period_each_paper_is_published_in(overrides):
+    # init_state fixes the period of every paper id before any is published
+    cfg = make_config(runs=1, **overrides)
+    state = init_state(cfg, 0)
+    schedule = state.published_period
+    assert schedule.dtype == np.int32
+    assert (schedule[: state.n_papers] < 0).all()
+    for period in range(1, cfg.periods + 1):
+        first = state.n_papers
+        step_period(state, cfg)
+        assert (schedule[first : state.n_papers] == period).all()
+    assert state.n_papers == schedule.size  # every scheduled paper was published
+    # the draw thread reads both while the layers run: no one may write them
+    for shared in (schedule, state.citation_means):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1
 
 
 def test_h_never_decreases():
