@@ -191,7 +191,7 @@ class SimulationState:
     Paper rows 0..n_papers-1 are valid; ``authors`` pads short teams with -1.
     It is int32, to halve its memory, and is cast to intp before numpy
     gathers through it, which is about 3x slower through an int32 index; so
-    are the ages ``cite_papers`` works out from ``published_period``.
+    are the ages ``cite_papers`` and ``_citation_draw`` take from ``published_period``.
     ``agent_papers[i, :agent_paper_counts[i]]`` lists agent i's paper ids, and
     its empty slots hold the id ``capacity`` of a sentinel paper: entry
     ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
@@ -258,6 +258,11 @@ def _team_width(config: SimulationConfig) -> int:
 
 def _teams_per_period(config: SimulationConfig) -> int:
     return -(-_collaborator_count(config) // _team_width(config))  # form_teams' rows
+
+
+def _cited_papers(published_period: np.ndarray, periods: int, teams: int, period: int) -> int:
+    """Papers cited in ``period`` >= 1: the schedule's prefix before that period's teams."""
+    return published_period.size - (periods + 1 - period) * teams
 
 
 def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
@@ -411,40 +416,34 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     round(boost_anchor * boost_size) additional citations once, in its first
     citation period; papers from before the simulation never see it.
 
-    The live papers come first, as papers are numbered in publication order.
-    Their counts are drawn in chunks of ``_CHUNK`` papers, one paper after
-    the other as in a single draw, so the chunk size never changes a number.
+    The live papers, a prefix of the schedule (``_cited_papers``), are drawn in
+    ``_CHUNK``-paper chunks as in one draw, so the chunk size changes no number.
     """
-    p = state.n_papers
-    age = state.period - state.published_period[:p]
-    live = age >= 1
-    live_count = np.count_nonzero(live)
-    if not live[:live_count].all():
-        raise RuntimeError("the live papers are not the first ones")
-
-    gained = np.zeros(p, dtype=np.int64)
-    for start in range(0, live_count, _CHUNK):
-        chunk = slice(start, min(start + _CHUNK, live_count))
-        gained[chunk] = draw_counts(
+    b = min(state.n_papers, _cited_papers(state.published_period, config.periods,
+                                          _teams_per_period(config), state.period))
+    born = state.published_period[:b]
+    gained = np.zeros(b, dtype=np.int64)
+    for start in range(0, b, _CHUNK):
+        chunk = born[start : start + _CHUNK]
+        gained[start : start + chunk.size] = draw_counts(
             config.citation_kind,
-            state.citation_means[age[chunk].astype(np.intp)],  # see SimulationState
+            state.citation_means[(state.period - chunk).astype(np.intp)],  # see SimulationState
             state.rng,
             config.citation_dispersion,
         )
 
     if config.self_citation:
-        authors = state.authors[:p].astype(np.intp)  # see SimulationState
-        lead = _member_h(authors, state.current_h) - state.citations[:p, None]
-        near_core = ((lead == 1) | (lead == 2)).any(axis=1)  # padding leads by -1 or less
-        gained[live & near_core] += 1
+        authors = state.authors[:b].astype(np.intp)  # see SimulationState
+        lead = _member_h(authors, state.current_h) - state.citations[:b, None]
+        gained[((lead == 1) | (lead == 2)).any(axis=1)] += 1  # padding leads by -1 or less
 
     if config.boost_size > 0:
-        first = np.flatnonzero(age == 1)
+        first = np.flatnonzero(born == state.period - 1)
         extra = np.floor(state.boost_anchor[first] * config.boost_size + 0.5)
         gained[first] += extra.astype(np.int64)
 
-    gained += state.citations[:p]
-    state.citations[:p] = _checked_counts(gained)
+    gained += state.citations[:b]
+    state.citations[:b] = _checked_counts(gained)
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
@@ -551,14 +550,15 @@ class _DrawThread:
     order the layers ask for them, and the worker makes them from the run's
     generator in that order, so every number is the same: a team shuffle is
     ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
-    for 1-D ``ids``, and the citation counts come in the chunks of
-    ``_CHUNK`` live papers that ``cite_papers`` asks for. Each chunk's ages
-    come from ``state.published_period``, as ``cite_papers`` works them out.
-    That schedule and ``citation_means`` are read-only, and a draw reads no
-    other array. An exception in a draw is raised again in the layer that
-    takes it, and a draw of another kind or size than the layer asks for is
-    a RuntimeError. About one period's draws are submitted at the start and
-    one more at each take, which bounds how far ahead the worker gets.
+    for 1-D ``ids``, and the citation counts come in the chunks of ``_CHUNK``
+    live papers that ``cite_papers`` asks for, the prefix ``_cited_papers``
+    gives. Each chunk's ages come from ``state.published_period``, as
+    ``cite_papers`` works them out. That schedule and ``citation_means`` are
+    read-only, and a draw reads no other array. An exception in a draw is
+    raised again in the layer that takes it, and a draw of another kind or size
+    than the layer asks for is a RuntimeError. About one period's draws are
+    submitted at the start and one more at each take, which bounds how far
+    ahead the worker gets.
 
     The worker calls no layer function, only the generator and
     ``_sample_counts``, so the checks in ``draw_counts`` stay on the calling
@@ -572,10 +572,10 @@ class _DrawThread:
         count, teams = _collaborator_count(config), _teams_per_period(config)
         self._state = state
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
-        draws = self._draw(config, state.rng, state.citation_means, state.published_period,
-                           state.n_papers, count, teams)
+        schedule = state.published_period
+        draws = self._draw(config, state.rng, state.citation_means, schedule, count, teams)
         self._submitted = ((kind, size, self._pool.submit(draw)) for kind, size, draw in draws)
-        most_live = state.n_papers + (config.periods - 1) * teams  # the last period's live papers
+        most_live = _cited_papers(schedule, config.periods, teams, config.periods)
         self._ahead = 2 + -(-most_live // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
@@ -587,7 +587,7 @@ class _DrawThread:
         self._pool.shutdown(cancel_futures=True)
 
     @staticmethod
-    def _draw(config, rng, citation_means, born, back, count, teams):
+    def _draw(config, rng, citation_means, schedule, count, teams):
         """Every draw of periods 1..periods, in the order the layers take them,
         as (kind, size, draw): ``draw()`` makes it from the generator."""
         n = config.n_agents
@@ -599,9 +599,9 @@ class _DrawThread:
                 else:
                     yield "noise", n, partial(rng.standard_normal, n)
             yield "shuffled", shuffled, partial(rng.permutation, shuffled)
-            live = back + (period - 1) * teams
-            for start in range(0, live, _CHUNK):
-                chunk = born[start : min(start + _CHUNK, live)]
+            cited = schedule[: _cited_papers(schedule, config.periods, teams, period)]
+            for start in range(0, cited.size, _CHUNK):
+                chunk = cited[start : start + _CHUNK]
                 yield "citations", chunk.size, partial(
                     _citation_draw, config, citation_means, rng, period, chunk
                 )
@@ -638,9 +638,9 @@ class _DrawThread:
 def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
     """The counts of the live papers published in ``born`` for ``period``, in
     the narrowest type that holds them: a period's counts wait for the layers."""
-    counts = _checked_counts(_sample_counts(
-        config.citation_kind, citation_means[period - born], rng, config.citation_dispersion
-    ))
+    means = citation_means[(period - born).astype(np.intp)]  # see SimulationState
+    counts = _checked_counts(_sample_counts(config.citation_kind, means, rng,
+                                            config.citation_dispersion))
     return counts.astype(np.min_scalar_type(counts.max()))
 
 

@@ -501,10 +501,15 @@ def test_the_schedule_holds_the_period_each_paper_is_published_in(overrides):
     schedule = state.published_period
     assert schedule.dtype == np.int32
     assert (schedule[: state.n_papers] < 0).all()
+    back, teams = state.n_papers, engine._teams_per_period(cfg)
+    assert (np.diff(schedule[back:]) >= 0).all()
     for period in range(1, cfg.periods + 1):
         first = state.n_papers
         step_period(state, cfg)
         assert (schedule[first : state.n_papers] == period).all()
+        # so the papers cited next period, those published before it, lead the schedule
+        cited = engine._cited_papers(schedule, cfg.periods, teams, period + 1)
+        assert cited == np.count_nonzero(schedule[: state.n_papers] < period + 1)
     assert state.n_papers == schedule.size  # every scheduled paper was published
     # the draw thread reads both while the layers run: no one may write them
     for shared in (schedule, state.citation_means):
@@ -1024,7 +1029,7 @@ def test_the_chunk_size_does_not_change_a_run(monkeypatch, draw_threads, cfg):
 
 @pytest.mark.parametrize("helper, due", [
     ("_collaborator_count", "collaborators"),  # the thread draws one collaborator too many
-    ("_teams_per_period", "citations"),  # it counts one paper too many from period 2 on
+    ("_teams_per_period", "citations"),  # it cites `periods` papers too few in period 1
 ])
 def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper, due):
     cfg = make_config(runs=1, periods=3, collab_share=0.5)
