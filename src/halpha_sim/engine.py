@@ -470,30 +470,35 @@ def _recompute_indices(state: SimulationState, recredit: bool = False) -> None:
     every paper to its author with the highest new h before h-alpha is
     counted. The h-core is every paper above h plus the earliest papers at
     exactly h; a row lists paper ids in increasing order, so ties go to the
-    smaller id, as in ``model.h_core``. The used block of the slot-major
-    ``agent_papers`` is contiguous, so both gathers through it read one block.
+    smaller id, as in ``model.h_core``. Per-row counts are kept in the
+    smallest unsigned type that holds the used width (uint8 up to 255 slots),
+    and none can wrap: the papers above h, the running count of ties, h and
+    ``h - above`` are each at most the row's paper count.
     """
     n = state.n_agents
-    papers = state.agent_papers[:, : state.agent_paper_counts.max()]
+    width = state.agent_paper_counts.max()
+    count = np.min_scalar_type(width)
+    papers = state.agent_papers[:, :width]
     cit = state.citations[papers]  # empty slots hold the sentinel: -1
 
     h = state.current_h.copy()
-    rows, sub = np.arange(n), cit
-    while rows.size:
-        rises = (sub > h[rows, None]).sum(axis=1) > h[rows]
-        rows, sub = rows[rises], sub[rises]
-        h[rows] += 1
+    while True:  # a row that did not rise cannot rise later: its h and citations are fixed
+        above = cit > h[:, None]
+        total = above.sum(axis=1, dtype=count)
+        rises = total > h
+        if not rises.any():
+            break
+        h += rises
     state.current_h = h
     if recredit:
         _reassign_alpha_authors(state)
 
     # at most h papers lie above h, or h would be at least h + 1
-    above = cit > h[:, None]
     at_h = cit == h[:, None]
-    room = h - above.sum(axis=1)
-    in_core = above | (at_h & (np.cumsum(at_h, axis=1, dtype=np.int32) <= room[:, None]))
+    room = (h - total).astype(count)
+    in_core = above | (at_h & (np.cumsum(at_h, axis=1, dtype=count) <= room[:, None]))
     own_alpha = state.alpha_author[papers] == np.arange(n, dtype=np.int32)[:, None]
-    state.current_h_alpha = (in_core & own_alpha).sum(axis=1)
+    state.current_h_alpha = (in_core & own_alpha).sum(axis=1, dtype=count).astype(np.int64)
 
 
 def _member_h(rows: np.ndarray, current_h: np.ndarray) -> np.ndarray:

@@ -462,6 +462,28 @@ def test_counts_at_the_citation_limit_stay_exact():
     _assert_state_matches_model(state)
 
 
+@pytest.mark.parametrize(
+    "n_agents, paper_mean, max_mean, narrowest",
+    [
+        (3, 400.0, 100.0, np.uint16),  # h rises past 255
+        (1, 70000.0, 20000.0, np.uint32),  # one row wider than 65,535 slots
+    ],
+)
+def test_indices_stay_exact_past_each_count_type(n_agents, paper_mean, max_mean, narrowest):
+    # the index pass counts in the smallest type that holds the table width
+    cfg = make_config(
+        runs=1, n_agents=n_agents, paper_mean=paper_mean, aging=AgingCurve(3.0, max_mean, 2.0)
+    )
+    state = init_state(cfg, 0)
+    for step in range(3):
+        if step:
+            step_period(state, cfg)
+        assert np.min_scalar_type(state.agent_paper_counts.max()) == narrowest
+        assert state.current_h.dtype == np.int32
+        assert state.current_h_alpha.dtype == np.int64
+        _assert_state_matches_model(state)
+
+
 def test_new_papers_receive_no_citations_in_publication_period():
     cfg = make_config(runs=1, master_seed=88)
     state = init_state(cfg, 0)

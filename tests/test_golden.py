@@ -42,6 +42,11 @@ CASES = {
         *SMALL, "--strategic", "--update-alpha", "--self-citations", "--coauthors", "5",
         "--seed", "107",
     ],
+    # tables about 340 slots wide: the index pass counts in uint16, not uint8
+    "wide": [
+        "--agents", "20", "--runs", "4", "--periods", "6", "--papers-mean", "300",
+        "--citations-mean", "100", "--update-alpha", "--seed", "108", "--per-run",
+    ],
     "config_file": ["--per-run"],
 }
 
@@ -81,6 +86,11 @@ GOLDEN = {
         "cb2e4672dc81c6a293ed7376abd17e4e37d7cd898afc6a98f51801ac276e6a3f",
         "59e8e2d4400501d6daf5c2201b7b5a759d046b97212fe5ba75057a6089259729",
         "4dc5efcffda039582a0a40589f2943b859e4c57a64a88b30c42831056b275622",
+    ),
+    "wide": (
+        "6b5a7233d6301cc178bdb42eae9c13513e7e856bac2b577a869add97af36a9b3",
+        "21fc0bb17661c9a327f97a6a28f31520d165dd73c694e84301792472a5b02896",
+        "77bf0728e460b53d84188639c02a305027ce7d7932658f9a98c5e3bc141207b0",
     ),
 }
 
