@@ -75,24 +75,26 @@ def _mean_over_runs(per_run: np.ndarray) -> np.ndarray:
 def aggregate(runs: list[RunResult]) -> ExperimentResult:
     """Average per-run group means of h-alpha across runs, period by period.
 
-    Each run's groups come from ``split_groups`` on its initial h; they are
-    fixed and never reassigned in later periods.
+    Each run's groups come from ``split_groups`` on its initial h, row 0 of
+    its ``h`` column; they are fixed and never reassigned in later periods.
+    The means read rows 1.. of each run's ``h_alpha`` column in place. Runs
+    with different period counts are a DataError.
     """
     if not runs:
         raise DataError("no runs to aggregate")
-    splits = [split_groups(run.initial_h) for run in runs]
+    splits = [split_groups(run.h[0]) for run in runs]
 
-    n_periods = len(runs[0].periods)
+    n_periods = len(runs[0].h_alpha) - 1
     for run in runs:
-        if len(run.periods) != n_periods:
+        if len(run.h_alpha) - 1 != n_periods:
             raise DataError(
-                f"run {run.run_index} has {len(run.periods)} periods, expected {n_periods}"
+                f"run {run.run_index} has {len(run.h_alpha) - 1} periods, expected {n_periods}"
             )
 
     per_run_low = np.full((len(runs), n_periods), np.nan)
     per_run_high = np.full((len(runs), n_periods), np.nan)
     for r, (run, split) in enumerate(zip(runs, splits)):
-        h_alpha = np.stack([pm.h_alpha for pm in run.periods])  # (P, n)
+        h_alpha = run.h_alpha[1:]  # (P, n)
         if split.low.size:
             per_run_low[r] = h_alpha[:, split.low].mean(axis=1)
         if split.high.size:
@@ -101,7 +103,7 @@ def aggregate(runs: list[RunResult]) -> ExperimentResult:
     mean_low = _mean_over_runs(per_run_low)
     mean_high = _mean_over_runs(per_run_high)
     return ExperimentResult(
-        periods=np.array([pm.period for pm in runs[0].periods]),
+        periods=np.arange(1, n_periods + 1),
         mean_h_alpha_low=mean_low,
         mean_h_alpha_high=mean_high,
         difference=mean_high - mean_low,

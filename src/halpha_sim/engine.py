@@ -177,11 +177,32 @@ class PeriodMetrics:
 
 @dataclass
 class RunResult:
-    """One complete run: frozen initial h values and all period snapshots."""
+    """One complete run as int32 columns, one row per period.
+
+    ``h``, ``h_alpha`` and ``paper_counts`` are ``(periods + 1, n_agents)``:
+    row 0 is the population ``init_state`` built and row t is period t, so
+    ``initial_h`` is ``h[0]``. ``teams`` is ``(periods, teams per period, team
+    width)``, -1 padded: ``teams[t - 1]`` are the teams of period t.
+    ``run_experiment`` allocates every run's columns before any run starts.
+    """
 
     run_index: int
-    initial_h: np.ndarray
-    periods: list[PeriodMetrics]
+    h: np.ndarray
+    h_alpha: np.ndarray
+    paper_counts: np.ndarray
+    teams: np.ndarray
+
+    @property
+    def initial_h(self) -> np.ndarray:
+        return self.h[0]
+
+    @property
+    def periods(self) -> list[PeriodMetrics]:
+        """Periods 1..periods as views of their rows: writing to a field writes the column."""
+        return [
+            PeriodMetrics(t, self.h[t], self.h_alpha[t], self.paper_counts[t], self.teams[t - 1])
+            for t in range(1, len(self.h))
+        ]
 
 
 @dataclass
@@ -548,10 +569,12 @@ class _DrawThread:
     Used as a context manager around a run's periods, right after
     ``init_state``: it puts itself in ``state.rng``, and on exit shuts down
     its one-worker executor, which cancels the draws not yet started and
-    joins the thread. It answers the five generator calls the layers and
-    ``draw_counts`` make (``choice``, ``standard_normal``, ``permutation``,
-    ``poisson`` and ``negative_binomial``) with the result of the next draw
-    it submitted. ``_draw`` lists those draws on the calling thread, in the
+    joins the thread, and puts the run's generator back. It then holds no
+    reference to the state, so the state is freed when the run ends, not when
+    the cyclic garbage collector happens to run. It answers the five
+    generator calls the layers and ``draw_counts`` make (``choice``,
+    ``standard_normal``, ``permutation``, ``poisson`` and
+    ``negative_binomial``) with the result of the next draw it submitted. ``_draw`` lists those draws on the calling thread, in the
     order the layers ask for them, and the worker makes them from the run's
     generator in that order, so every number is the same: a team shuffle is
     ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
@@ -575,11 +598,11 @@ class _DrawThread:
         from concurrent.futures import ThreadPoolExecutor
 
         count, teams = _collaborator_count(config), _teams_per_period(config)
-        self._state = state
+        self._state, self._rng = state, state.rng
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
-        schedule = state.published_period
+        submit, schedule = self._pool.submit, state.published_period
         draws = self._draw(config, state.rng, state.citation_means, schedule, count, teams)
-        self._submitted = ((kind, size, self._pool.submit(draw)) for kind, size, draw in draws)
+        self._submitted = ((kind, size, submit(draw)) for kind, size, draw in draws)
         most_live = _cited_papers(schedule, config.periods, teams, config.periods)
         self._ahead = 2 + -(-most_live // _CHUNK)
 
@@ -590,6 +613,7 @@ class _DrawThread:
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
+        self._state.rng, self._state = self._rng, None
 
     @staticmethod
     def _draw(config, rng, citation_means, schedule, count, teams):
@@ -649,11 +673,58 @@ def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
     return counts.astype(np.min_scalar_type(counts.max()))
 
 
-def _run_one(config: SimulationConfig, run_index: int, prefetch: bool = False) -> RunResult:
-    state = init_state(config, run_index)
+def _run_one(config: SimulationConfig, run: RunResult, prefetch: bool = False) -> None:
+    """Simulate run ``run.run_index`` and write its rows into ``run``'s columns."""
+    state = init_state(config, run.run_index)
+    run.h[0], run.h_alpha[0], run.paper_counts[0] = (
+        state.current_h, state.current_h_alpha, state.agent_paper_counts
+    )
     with _DrawThread(state, config) if prefetch else contextlib.nullcontext():
-        metrics = [step_period(state, config) for _ in range(config.periods)]
-    return RunResult(run_index=run_index, initial_h=state.initial_h.copy(), periods=metrics)
+        for row in run.periods:
+            pm = step_period(state, config)
+            row.h[:], row.h_alpha[:], row.paper_counts[:], row.teams[:] = (
+                pm.h, pm.h_alpha, pm.paper_counts, pm.teams
+            )
+
+
+def _allocate_runs(config: SimulationConfig) -> list[RunResult]:
+    """Every run's columns, zeroed, in one anonymous shared mapping.
+
+    A worker forked after this call writes its runs' rows into the pages the
+    caller reads. A mapping the system cannot provide is a MemoryError.
+    """
+    import mmap  # here, as the pool's imports: importing the package needs none
+
+    rows, teams = config.periods + 1, (_teams_per_period(config), _team_width(config))
+    shapes = [(config.runs, rows, config.n_agents)] * 3 + [(config.runs, config.periods, *teams)]
+    size = 4 * sum(math.prod(shape) for shape in shapes)  # int32
+    try:
+        mapping = mmap.mmap(-1, size)
+    except (OSError, OverflowError):  # ENOMEM, or a size past what mmap takes
+        raise MemoryError(
+            f"out of memory: the results of {config.runs} runs take {size} bytes"
+        ) from None
+    columns, offset = [], 0
+    for shape in shapes:
+        columns.append(np.frombuffer(mapping, np.int32, math.prod(shape), offset).reshape(shape))
+        offset += columns[-1].nbytes
+    return [RunResult(i, *(column[i] for column in columns)) for i in range(config.runs)]
+
+
+# The runs of a forked pool worker: its caller's, set by the pool's initializer.
+_shared_runs: list[RunResult] = []
+
+
+def _share_runs(runs: list[RunResult]) -> None:
+    global _shared_runs
+    _shared_runs = runs
+
+
+def _run_block(config: SimulationConfig, first: int, step: int) -> None:
+    """Runs ``first``, ``first + step``, ... of the shared runs, each written into
+    its columns; nothing is returned, so nothing is sent back to the caller."""
+    for run in _shared_runs[first::step]:
+        _run_one(config, run)
 
 
 # From Python 3.12 on, os.fork warns when the forking process has threads
@@ -684,14 +755,21 @@ def _can_fork() -> bool:
 def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> list[RunResult]:
     """Execute all runs of the experiment, in run-index order.
 
-    Runs are independent and seeded from (master_seed, run_index), so the
-    result is identical for any number of workers. ``max_workers`` is None
-    (every usable core) or an integer of at least 1. The runs go to
-    ``min(max_workers or cores, runs, cores)`` worker processes, forked from
-    this one, one task per run. They run in this process instead when that
+    Every run's columns (see ``RunResult``) are allocated before any run
+    starts, in one anonymous shared mapping; if that allocation fails, the
+    call raises MemoryError and no run starts. Runs are independent and
+    seeded from (master_seed, run_index), so the result is identical for any
+    number of workers. ``max_workers`` is None (every usable core) or an
+    integer of at least 1. The runs go to ``workers = min(max_workers or
+    cores, runs, cores)`` worker processes, forked from this one: worker w
+    runs ``range(w, runs, workers)``, writes their rows straight into the
+    mapping and sends nothing back. They run in this process instead when that
     count is 1, when the OS cannot fork, and on Python 3.12 or later when
     this process has more than one thread (os.fork would warn). The pool is
-    started and shut down within the call.
+    started and shut down within the call. A failed run fails the call;
+    another worker's block may still finish before the pool shuts down. A
+    worker that dies (killed by the system when out of memory, say) is a
+    MemoryError.
 
     A run in this process on a host with more than one usable core makes its
     draws on a second thread (``_DrawThread``: a one-worker executor, whose
@@ -706,18 +784,30 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     workers = min(max_workers or config.runs, config.runs)
     if workers > 1:
         workers = min(workers, _usable_cores())
+    runs = _allocate_runs(config)
     if workers == 1 or not _can_fork():
         prefetch = _usable_cores() > 1
-        return [_run_one(config, i, prefetch) for i in range(config.runs)]
+        for run in runs:
+            _run_one(config, run, prefetch)
+        return runs
     # Imported here: a serial call, and importing the package, need neither.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     # fork, set explicitly: a forked worker starts with numpy imported and this
     # module loaded, where spawn and forkserver (3.14's default on Linux) would
-    # import them again in every call.
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    # import them again in every call; and the initializer's runs, with the
+    # mapping under them, reach a forked worker as they are, unpickled.
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_share_runs, initargs=(runs,))
     try:
-        return list(pool.map(_run_one, [config] * config.runs, range(config.runs)))
+        for _ in pool.map(_run_block, [config] * workers, range(workers), [workers] * workers):
+            pass
+    except BrokenProcessPool as exc:
+        raise MemoryError(
+            "a worker process died, for example killed by the system when out of memory"
+        ) from exc
     finally:
-        pool.shutdown(cancel_futures=True)  # a failed run cancels the runs not yet started
+        pool.shutdown(cancel_futures=True)  # a failed run cancels the block not yet started
+    return runs

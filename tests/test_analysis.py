@@ -7,23 +7,22 @@ import numpy as np
 import pytest
 
 from halpha_sim.analysis import aggregate, export_csv, split_groups
-from halpha_sim.engine import PeriodMetrics, RunResult
+from halpha_sim.engine import RunResult
 from halpha_sim.errors import DataError
 
 
 def make_run(run_index, initial_h, h_alpha_by_period):
-    n = len(initial_h)
-    metrics = [
-        PeriodMetrics(
-            period=t + 1,
-            h=np.asarray(values) + 3,
-            h_alpha=np.asarray(values, dtype=float),
-            paper_counts=np.full(n, 99),
-            teams=np.empty((0, 3), dtype=np.int64),
-        )
-        for t, values in enumerate(h_alpha_by_period)
-    ]
-    return RunResult(run_index=run_index, initial_h=np.asarray(initial_h), periods=metrics)
+    """A RunResult whose row 0 holds ``initial_h`` and whose row t holds period t's h-alpha."""
+    initial_h = np.asarray(initial_h, dtype=np.int32)
+    h_alpha = np.asarray(h_alpha_by_period, dtype=np.int32).reshape(-1, initial_h.size)
+    periods, n = h_alpha.shape
+    return RunResult(
+        run_index=run_index,
+        h=np.vstack([initial_h, h_alpha + 3]),
+        h_alpha=np.vstack([np.zeros(n, dtype=np.int32), h_alpha]),
+        paper_counts=np.full((periods + 1, n), 99, dtype=np.int32),
+        teams=np.empty((periods, 0, 3), dtype=np.int32),
+    )
 
 
 # Initial h of five agents: low {0, 1}, high {3, 4}, agent 2 at the median (5)

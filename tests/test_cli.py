@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -246,6 +247,50 @@ def test_an_experiment_too_large_for_memory_is_an_error_line(
     assert main(["--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 763. MiB")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_results_too_large_to_allocate_are_an_error_line_before_any_run(
+    tmp_path, capsys, monkeypatch, cores
+):
+    # every run's columns are allocated up front: 2**30 runs of 2**20 agents
+    # need petabytes, refused at once on one core as on two
+    started = []
+    monkeypatch.setattr(engine, "init_state", lambda config, i: started.append(i))
+    _cores(monkeypatch, cores)
+    out = tmp_path / "x.csv"
+    flags = ["--runs", "1073741824", "--agents", "1048576", "--periods", "1",
+             "--papers-mean", "0", "--seed", "1"]
+    assert main(["--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+    assert started == []
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_a_killed_pool_worker_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # as the system's out-of-memory killer ends a worker: SIGKILL, no exception
+    if not engine._can_fork():
+        pytest.skip("this process cannot fork a pool without os.fork's warning")
+    parent, init_state = os.getpid(), engine.init_state
+
+    def dying(config, run_index):
+        if run_index == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return init_state(config, run_index)
+
+    monkeypatch.setattr(engine, "init_state", dying)
+    _cores(monkeypatch, 2)
+    out = tmp_path / "x.csv"
+    flags = ["--agents", "20", "--runs", "4", "--periods", "3", "--seed", "1"]
+    assert main(["--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died")
+    assert "out of memory" in err
     assert "Traceback" not in err
     assert not out.exists()
 

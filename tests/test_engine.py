@@ -7,11 +7,13 @@ definitions in ``model`` on full simulated states.
 import concurrent.futures
 import copy
 import dataclasses
+import gc
 import math
 import os
 import sys
 import threading
 import time
+import weakref
 from datetime import timedelta
 
 import numpy as np
@@ -819,21 +821,33 @@ def test_every_valid_worker_count_gives_the_same_results():
         assert export_csv(aggregate(serial)) == export_csv(aggregate(results))
 
 
+class _PoolSizes(list):
+    """The size of each pool asked for; ``returned`` holds what its tasks returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.returned = []
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The size of each pool run_experiment asks for; its runs execute here.
 
     A fork pool starts all of its workers at once, so the cap is checked by
-    recording the size rather than by starting the pool.
+    recording the size rather than by starting the pool. The initializer runs
+    here too, as a forked worker would run it.
     """
-    sizes = []
+    sizes = _PoolSizes()
 
     class RecordingPool:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            returned = list(map(fn, *iterables))
+            sizes.returned.extend(returned)
+            return iter(returned)
 
         def shutdown(self, cancel_futures):
             pass
@@ -881,6 +895,48 @@ def test_runs_stay_in_process_where_the_fork_would_warn(monkeypatch, pool_sizes)
     assert pool_sizes == []
 
 
+def test_period_rows_are_views_of_the_int32_columns():
+    cfg = make_config(runs=2, periods=4, strategic=True)
+    for run in run_experiment(cfg, max_workers=1):
+        for name in ("h", "h_alpha", "paper_counts"):
+            column = getattr(run, name)
+            assert column.dtype == np.int32
+            assert column.shape == (cfg.periods + 1, cfg.n_agents)
+        assert run.teams.dtype == np.int32
+        assert run.teams.shape == (cfg.periods, engine._teams_per_period(cfg), cfg.coauthors_mean)
+        assert np.shares_memory(run.initial_h, run.h[0])
+        assert [pm.period for pm in run.periods] == list(range(1, cfg.periods + 1))
+        for i, pm in enumerate(run.periods):
+            assert np.array_equal(pm.h, run.h[i + 1])
+            pm.h[0], pm.h_alpha[0], pm.paper_counts[0], pm.teams[0, 0] = -5, -6, -7, -8
+            assert (run.h[i + 1, 0], run.h_alpha[i + 1, 0], run.paper_counts[i + 1, 0],
+                    run.teams[i, 0, 0]) == (-5, -6, -7, -8)
+
+
+@pytest.mark.parametrize("max_workers", [2, 3])
+def test_uneven_blocks_of_runs_give_the_serial_results(monkeypatch, max_workers):
+    # 7 runs: blocks of 4 and 3, or of 3, 2 and 2, each written by its worker
+    cfg = make_config(runs=7, master_seed=303, strategic=True)
+    serial = run_experiment(cfg, max_workers=1)
+    _cores(monkeypatch, 3)
+    pooled = run_experiment(cfg, max_workers=max_workers)
+    assert [r.run_index for r in pooled] == list(range(7))
+    assert np.array_equal(_flatten(pooled), _flatten(serial))
+    assert all(np.array_equal(a.teams, b.teams) for a, b in zip(pooled, serial))
+    assert export_csv(aggregate(pooled), True) == export_csv(aggregate(serial), True)
+
+
+def test_pool_tasks_send_nothing_back(monkeypatch, pool_sizes):
+    # each worker runs one block of runs into the shared columns and returns None
+    monkeypatch.setattr(engine, "_can_fork", lambda: True)  # nothing forks: see pool_sizes
+    _cores(monkeypatch, 2)
+    cfg = make_config(runs=5, periods=3)
+    results = run_experiment(cfg)
+    assert pool_sizes == [2]
+    assert pool_sizes.returned == [None, None]
+    assert np.array_equal(_flatten(results), _flatten(run_experiment(cfg, max_workers=1)))
+
+
 # --- the draw thread ----------------------------------------------------------
 
 
@@ -923,6 +979,27 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
     assert np.array_equal(_flatten(threaded), _flatten(inline))
     for a, b in zip(threaded, inline):
         assert all(np.array_equal(p.teams, q.teams) for p, q in zip(a.periods, b.periods))
+
+
+def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
+    # the draw thread stood in state.rng and held the state: with the cycle
+    # broken on exit, the state dies with the run, with no collection
+    states, real = [], engine.init_state
+
+    def recording(config, run_index):
+        state = real(config, run_index)
+        states.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(engine, "init_state", recording)
+    _cores(monkeypatch, 2)
+    gc.disable()
+    try:
+        run_experiment(make_config(runs=1, periods=4))
+        assert len(draw_threads) == 1
+        assert [ref() for ref in states] == [None]
+    finally:
+        gc.enable()
 
 
 def test_the_draw_thread_is_joined_when_the_run_fails(monkeypatch, draw_threads):

@@ -47,6 +47,12 @@ CASES = {
         "--agents", "20", "--runs", "4", "--periods", "6", "--papers-mean", "300",
         "--citations-mean", "100", "--update-alpha", "--seed", "108", "--per-run",
     ],
+    # round(0.001 * 60) is 0: no publisher, no team, zero-width team columns;
+    # 3 runs split unevenly over two workers
+    "zero_teams": [
+        "--agents", "60", "--runs", "3", "--periods", "6", "--diligence-share", "0.001",
+        "--seed", "109", "--per-run",
+    ],
     "config_file": ["--per-run"],
 }
 
@@ -91,6 +97,11 @@ GOLDEN = {
         "6b5a7233d6301cc178bdb42eae9c13513e7e856bac2b577a869add97af36a9b3",
         "21fc0bb17661c9a327f97a6a28f31520d165dd73c694e84301792472a5b02896",
         "77bf0728e460b53d84188639c02a305027ce7d7932658f9a98c5e3bc141207b0",
+    ),
+    "zero_teams": (
+        "a3e2b46f72a5c14f96c23b4e425141a9650020f8cba6c1d7e431a80c49d5cc80",
+        "a437583801079291bb60e53daa0924354a02b88bda704908ab262029c9467439",
+        "8828cf5c56eaa6085dda669fb468a2719fdd3868fd0d237ceaabd711cc6fa666",
     ),
 }
 
