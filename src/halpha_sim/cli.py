@@ -17,11 +17,10 @@ import re
 import secrets
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 from .analysis import _fmt, aggregate, export_csv
-from .distributions import AgingCurve, CountKind
+from .distributions import CountKind
 from .engine import SimulationConfig, run_experiment
 from .errors import ConfigurationError, DataError
 
@@ -36,8 +35,7 @@ SWITCH = {"action": "store_true", "default": None}
 @dataclass(frozen=True)
 class Param:
     """One simulation parameter: its flag, JSON key and echo line are all ``name``
-    (with dashes in the flag); ``field`` names where SimulationConfig keeps it,
-    ``aging.<attr>`` for the citation aging curve."""
+    (with dashes in the flag); ``field`` is the SimulationConfig field that keeps it."""
 
     name: str
     flag: dict  # argparse keyword arguments
@@ -59,11 +57,11 @@ PARAMETERS = (
           "dispersion of the initial paper count distribution (nbinomial only)"),
     Param("citations_dist", DIST, "poisson", "citation_kind",
           "distribution of per-period citation counts"),
-    Param("citations_mean", FLOAT, 5.0, "aging.max_mean",
+    Param("citations_mean", FLOAT, 5.0, "citation_mean",
           "maximum expected citations per period"),
-    Param("citations_peak", FLOAT, 3.0, "aging.peak_period",
+    Param("citations_peak", FLOAT, 3.0, "citation_peak",
           "paper age (in periods) at which expected citations peak"),
-    Param("citations_speed", FLOAT, 2.0, "aging.speed",
+    Param("citations_speed", FLOAT, 2.0, "citation_speed",
           "steepness of the citation aging curve (must exceed 1)"),
     Param("citations_dispersion", FLOAT, None, "citation_dispersion",
           "dispersion of the citation count distribution (nbinomial only)"),
@@ -108,21 +106,20 @@ def scenario_config(name: str, master_seed: int, **overrides) -> SimulationConfi
     if unknown:
         raise ConfigurationError(f"unknown parameters: {sorted(unknown)}")
     values = {**PRESETS[name], **overrides}
-    fields, aging = {"master_seed": master_seed}, {}
+    fields = {"master_seed": master_seed}
     for p in PARAMETERS:
         value = values.get(p.name, p.default)
         if p.flag is DIST and value in _DISTS:
             value = CountKind(value)
-        group, _, attr = p.field.rpartition(".")
-        (aging if group else fields)[attr] = value
-    return SimulationConfig(aging=AgingCurve(**aging), **fields)
+        fields[p.field] = value
+    return SimulationConfig(**fields)
 
 
 # Keys of a JSON config file, and the flags that override them.
 _KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
 
-# The flag that sets each SimulationConfig and AgingCurve attribute, and the scenario.
-_FLAG_OF = {p.field.rpartition(".")[2]: "--" + p.name.replace("_", "-") for p in PARAMETERS}
+# The flag that sets each SimulationConfig field, and the scenario.
+_FLAG_OF = {p.field: "--" + p.name.replace("_", "-") for p in PARAMETERS}
 _FLAG_OF.update(master_seed="--seed", scenario="--scenario")
 
 
@@ -247,7 +244,7 @@ def config_echo_path(out: Path) -> Path:
 
 def _render_echo(config: SimulationConfig, options: CliOptions) -> str:
     lines = [f"scenario = {json.dumps(options.scenario)}"]
-    lines += [f"{p.name} = {json.dumps(attrgetter(p.field)(config))}" for p in PARAMETERS]
+    lines += [f"{p.name} = {json.dumps(getattr(config, p.field))}" for p in PARAMETERS]
     lines.append(f"seed = {config.master_seed}")
     lines.append(f"out = {json.dumps(str(options.out))}")
     lines.append(f"per_run = {json.dumps(options.per_run)}")
@@ -285,8 +282,13 @@ def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
 
 
 def main(argv=None) -> int:
-    config, options = parse_config(argv)
-    return run_and_report(config, options)
+    """Run the CLI; an interrupt (Ctrl-C) is one error line and exit status 130."""
+    try:
+        config, options = parse_config(argv)
+        return run_and_report(config, options)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ here are also those of the matching fields in ``engine``'s rule table of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -35,17 +34,12 @@ class CountKind(str, Enum):
 DISPERSION_MIN = 1e-12
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
 # A rule is a (test, description) pair: a value is accepted when the test holds.
 _KIND = (lambda v: isinstance(v, CountKind), "a CountKind (poisson or nbinomial)")
-_NONNEGATIVE = (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite nonnegative number")
 _DISPERSION = (lambda v: v is None or _is_real(v) and math.isfinite(v), "a finite number or None")
 _NB_DISPERSION = (lambda v: v is not None and v >= DISPERSION_MIN,  # once _DISPERSION holds
                   f"at least {DISPERSION_MIN} for the negative binomial")
@@ -55,13 +49,6 @@ def _check(name: str, value, rule) -> None:
     test, description = rule
     if not test(value):
         raise ConfigurationError(f"{name} must be {description}, got {value!r}", name)
-
-
-def _check_fields(obj, rules: dict) -> None:
-    """Check each field of ``obj`` against its rule in ``rules``, in order; a
-    ConfigurationError names the first field that fails."""
-    for name, rule in rules.items():
-        _check(name, getattr(obj, name), rule)
 
 
 def draw_counts(
@@ -96,53 +83,23 @@ def _sample_counts(kind, means, rng, dispersion=None, size=None) -> np.ndarray:
     return rng.negative_binomial(k, k / (k + means), size=size)
 
 
-# The rule of each AgingCurve field, checked in this order.
-_AGING_RULES = {
-    "peak_period": (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number"),
-    "max_mean": _NONNEGATIVE,
-    "speed": (lambda v: _is_real(v) and 1 < v < math.inf, "a finite number above 1"),
-}
-
-
-@dataclass(frozen=True)
-class AgingCurve:
-    """Expected citations per period as a function of paper age.
-
-    The curve follows the shape of a log-logistic density with steepness
-    ``speed`` (> 1 so an interior mode exists), rescaled so its mode sits at
-    ``peak_period`` and its peak value is exactly ``max_mean``.
-    """
-
-    peak_period: float
-    max_mean: float
-    speed: float = 2.0
-
-    def __post_init__(self) -> None:
-        _check_fields(self, _AGING_RULES)
-
-    @property
-    def scale(self) -> float:
-        """Log-logistic scale placing the density mode at ``peak_period``."""
-        b = self.speed
-        return self.peak_period * ((b + 1.0) / (b - 1.0)) ** (1.0 / b)
-
-
 def _log_logistic_density(t: float, scale: float, shape: float) -> float:
     """Log-logistic pdf (beta/alpha) (t/alpha)^(beta-1) / (1 + (t/alpha)^beta)^2."""
     x = t / scale
     return (shape / scale) * x ** (shape - 1.0) / (1.0 + x**shape) ** 2
 
 
-def expected_citations(age: float, curve: AgingCurve) -> float:
+def expected_citations(age: float, *, peak: float, max_mean: float, speed: float) -> float:
     """Expected citations for a paper of the given age (in whole periods, >= 1).
 
-    Returns max_mean * f(age) / f(peak_period) where f is the log-logistic
-    density; exactly max_mean at age == peak_period.
+    The curve follows the shape of a log-logistic density f with steepness
+    ``speed`` (> 1 so an interior mode exists), rescaled so its mode sits at
+    ``peak`` and its peak value is exactly ``max_mean``: the result is
+    max_mean * f(age) / f(peak).
     """
     if age < 1:
         raise ValueError(f"paper age must be at least 1 period, got {age}")
-    a, b = curve.scale, curve.speed
-    return curve.max_mean * _log_logistic_density(age, a, b) / _log_logistic_density(
-        curve.peak_period, a, b
+    scale = peak * ((speed + 1.0) / (speed - 1.0)) ** (1.0 / speed)  # puts f's mode at peak
+    return max_mean * _log_logistic_density(age, scale, speed) / _log_logistic_density(
+        peak, scale, speed
     )
-

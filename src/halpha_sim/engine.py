@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from numbers import Integral
 from statistics import NormalDist
 
 import numpy as np
@@ -38,12 +39,8 @@ from .distributions import (
     _DISPERSION,
     _KIND,
     _NB_DISPERSION,
-    _NONNEGATIVE,
-    AgingCurve,
     CountKind,
     _check,
-    _check_fields,
-    _is_integer,
     _is_real,
     _sample_counts,
     draw_counts,
@@ -68,12 +65,17 @@ BOOST_SIZE_MAX = 2**10
 _CHUNK = 2**14
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 _COUNT = (lambda v: _is_integer(v) and v >= 1, "an integer of at least 1")
+_NONNEGATIVE = (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite nonnegative number")
 _SHARE = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
 _SWITCH = (lambda v: isinstance(v, bool), "a boolean")
 
 # The (test, description) rule of each SimulationConfig field, in field order,
-# which is the order they are checked in. The citation mean is AgingCurve's.
+# which is the order they are checked in.
 _CONFIG_RULES = {
     "runs": (lambda v: _is_integer(v) and 1 <= v <= EXPECTED_MAX, "an integer in [1, 2**30]"),
     "n_agents": _COUNT,
@@ -82,7 +84,9 @@ _CONFIG_RULES = {
     "paper_kind": _KIND,
     "paper_mean": _NONNEGATIVE,
     "citation_kind": _KIND,
-    "aging": (lambda v: isinstance(v, AgingCurve), "an AgingCurve"),
+    "citation_mean": _NONNEGATIVE,
+    "citation_peak": (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number"),
+    "citation_speed": (lambda v: _is_real(v) and 1 < v < math.inf, "a finite number above 1"),
     "alpha_share": _SHARE,
     "master_seed": (lambda v: _is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
     "paper_dispersion": _DISPERSION,
@@ -96,10 +100,23 @@ _CONFIG_RULES = {
 }
 
 
+def _check_fields(obj, rules: dict) -> None:
+    """Check each field of ``obj`` against its rule in ``rules``, in order; a
+    ConfigurationError names the first field that fails."""
+    for name, rule in rules.items():
+        _check(name, getattr(obj, name), rule)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Every parameter of one experiment (shared by all of its runs). Construction
-    checks each field's type and range and raises a ConfigurationError naming it."""
+    checks each field's type and range and raises a ConfigurationError naming the
+    first one at fault, in field order.
+
+    A paper's expected citations per period follow the aging curve of
+    ``expected_citations``: they peak at ``citation_mean`` when the paper is
+    ``citation_peak`` periods old, with steepness ``citation_speed``.
+    """
 
     runs: int
     n_agents: int
@@ -108,7 +125,9 @@ class SimulationConfig:
     paper_kind: CountKind
     paper_mean: float
     citation_kind: CountKind
-    aging: AgingCurve
+    citation_mean: float
+    citation_peak: float
+    citation_speed: float
     alpha_share: float
     master_seed: int
     paper_dispersion: float | None = None
@@ -136,25 +155,28 @@ class SimulationConfig:
                 f"got {n} * ({self.paper_mean} + {periods})",
                 "n_agents", "paper_mean", "periods",
             )
-        if not self.aging.max_mean * (periods + INITIAL_AGE_MAX) <= EXPECTED_MAX:
+        if not self.citation_mean * (periods + INITIAL_AGE_MAX) <= EXPECTED_MAX:
             raise ConfigurationError(
-                f"max_mean * (periods + {INITIAL_AGE_MAX}) must be at most 2**30, "
-                f"got {self.aging.max_mean} * ({periods} + {INITIAL_AGE_MAX})",
-                "max_mean", "periods",
+                f"citation_mean * (periods + {INITIAL_AGE_MAX}) must be at most 2**30, "
+                f"got {self.citation_mean} * ({periods} + {INITIAL_AGE_MAX})",
+                "citation_mean", "periods",
             )
         # Only the powers of age / scale can overflow, and they grow with age: a
         # finite mean at the oldest age is a finite mean at every age.
         oldest = periods + INITIAL_AGE_MAX
         try:
-            finite = math.isfinite(expected_citations(oldest, self.aging))
+            finite = math.isfinite(expected_citations(
+                oldest, peak=self.citation_peak, max_mean=self.citation_mean,
+                speed=self.citation_speed,
+            ))
         except ArithmeticError:  # an overflowing power, or a peak density of 0
             finite = False
         if not finite:
             raise ConfigurationError(
-                "speed and peak_period must give a finite citation mean at age "
-                f"periods + {INITIAL_AGE_MAX}, got {self.aging.speed} and "
-                f"{self.aging.peak_period} at age {oldest}",
-                "speed", "peak_period", "periods",
+                "citation_speed and citation_peak must give a finite citation mean at age "
+                f"periods + {INITIAL_AGE_MAX}, got {self.citation_speed} and "
+                f"{self.citation_peak} at age {oldest}",
+                "citation_speed", "citation_peak", "periods",
             )
         if self.diligence_correlation > 0 and self.collab_share >= 1.0:
             warnings.warn(
@@ -300,7 +322,9 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
 
     max_age = config.periods + INITIAL_AGE_MAX
     means = np.zeros(max_age + 1)
-    means[1:] = [expected_citations(a, config.aging) for a in range(1, max_age + 1)]
+    curve = partial(expected_citations, peak=config.citation_peak,
+                    max_mean=config.citation_mean, speed=config.citation_speed)
+    means[1:] = [curve(a) for a in range(1, max_age + 1)]
 
     paper_counts = draw_counts(
         config.paper_kind, config.paper_mean, rng, config.paper_dispersion, size=n
@@ -752,23 +776,22 @@ def _can_fork() -> bool:
         return False
 
 
-def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> list[RunResult]:
+def run_experiment(config: SimulationConfig) -> list[RunResult]:
     """Execute all runs of the experiment, in run-index order.
 
     Every run's columns (see ``RunResult``) are allocated before any run
     starts, in one anonymous shared mapping; if that allocation fails, the
     call raises MemoryError and no run starts. Runs are independent and
     seeded from (master_seed, run_index), so the result is identical for any
-    number of workers. ``max_workers`` is None (every usable core) or an
-    integer of at least 1. The runs go to ``workers = min(max_workers or
-    cores, runs, cores)`` worker processes, forked from this one: worker w
-    runs ``range(w, runs, workers)``, writes their rows straight into the
-    mapping and sends nothing back. They run in this process instead when that
-    count is 1, when the OS cannot fork, and on Python 3.12 or later when
-    this process has more than one thread (os.fork would warn). The pool is
-    started and shut down within the call. A failed run fails the call;
-    another worker's block may still finish before the pool shuts down. A
-    worker that dies (killed by the system when out of memory, say) is a
+    number of workers. The runs go to ``workers = min(runs, cores)`` worker
+    processes, cores being those of this process's CPU affinity, forked from
+    this one: worker w runs ``range(w, runs, workers)``, writes their rows
+    straight into the mapping and sends nothing back. They run in this process
+    instead when that count is 1, when the OS cannot fork, and on Python 3.12
+    or later when this process has more than one thread (os.fork would warn).
+    The pool is started and shut down within the call. A failed run fails the
+    call; another worker's block may still finish before the pool shuts down.
+    A worker that dies (killed by the system when out of memory, say) is a
     MemoryError.
 
     A run in this process on a host with more than one usable core makes its
@@ -779,11 +802,7 @@ def run_experiment(config: SimulationConfig, max_workers: int | None = None) -> 
     are the same; the executor is shut down and its thread joined before the run
     ends, also when it fails. A pool worker draws inline.
     """
-    if max_workers is not None:
-        _check("max_workers", max_workers, _COUNT)
-    workers = min(max_workers or config.runs, config.runs)
-    if workers > 1:
-        workers = min(workers, _usable_cores())
+    workers = min(config.runs, _usable_cores())
     runs = _allocate_runs(config)
     if workers == 1 or not _can_fork():
         prefetch = _usable_cores() > 1

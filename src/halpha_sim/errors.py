@@ -8,8 +8,8 @@ class ConfigurationError(ValueError):
     """Raised for invalid simulation parameters.
 
     ``fields`` lists the names of the checked values as the message spells
-    them (SimulationConfig or AgingCurve attribute names where the value is
-    one), so a front end can put its own names for them.
+    them (SimulationConfig field names where the value is one), so a front end
+    can put its own names for them.
     """
 
     def __init__(self, message: str, *fields: str) -> None:

@@ -18,6 +18,7 @@ h stays put) and are reported as a figure, each one confirmed by the oracle.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ import pytest
 from halpha_sim import model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
-from halpha_sim.distributions import AgingCurve, expected_citations
+from halpha_sim.distributions import expected_citations
 from halpha_sim.engine import init_state, run_experiment, step_period
 
 SEEDS = list(range(20))
@@ -257,23 +258,24 @@ def test_criterion_6_h_index_brute_force_oracle():
 
 
 def test_criterion_7_aging_curve_anchor_and_unimodality():
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    anchor_ok = abs(expected_citations(3, curve) - 5.0) <= 1e-12
-    values = [expected_citations(a, curve) for a in range(1, 51)]
+    curve = {"peak": 3.0, "max_mean": 5.0, "speed": 2.0}
+    anchor_ok = abs(expected_citations(3, **curve) - 5.0) <= 1e-12
+    values = [expected_citations(a, **curve) for a in range(1, 51)]
     mode = int(np.argmax(values))
     unimodal = all(values[i] < values[i + 1] for i in range(mode)) and all(
         values[i] > values[i + 1] for i in range(mode, 49)
     )
     report(7, "aging curve anchor exact and unimodal over ages 1..50",
            anchor_ok and unimodal,
-           f"peak value {expected_citations(3, curve)!r}, argmax age {mode + 1}")
+           f"peak value {expected_citations(3, **curve)!r}, argmax age {mode + 1}")
 
 
-def test_criterion_8_threading_leaves_csv_bytes_identical():
+def test_criterion_8_threading_leaves_csv_bytes_identical(monkeypatch):
     cfg = scenario_config("baseline", master_seed=SEEDS[0])
-    serial = export_csv(aggregate(run_experiment(cfg, max_workers=1)))
-    threaded = export_csv(aggregate(run_experiment(cfg, max_workers=8)))
-    report(8, "1-thread and 8-thread runs give byte-identical CSV",
+    threaded = export_csv(aggregate(run_experiment(cfg)))  # a worker per usable core
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = export_csv(aggregate(run_experiment(cfg)))
+    report(8, "1-worker and every-core runs give byte-identical CSV",
            serial == threaded, f"{len(serial)} bytes compared")
 
 

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from copy import deepcopy
 from pathlib import Path
@@ -50,8 +51,9 @@ def test_baseline_preset_values():
     assert cfg.paper_mean == 10.0
     assert cfg.paper_dispersion is None and cfg.citation_dispersion is None
     assert cfg.citation_kind is CountKind.POISSON
-    assert cfg.aging.max_mean == 5.0
-    assert cfg.aging.peak_period == 3.0
+    assert cfg.citation_mean == 5.0
+    assert cfg.citation_peak == 3.0
+    assert cfg.citation_speed == 2.0
     assert cfg.alpha_share == 0.33
     assert cfg.collab_share == 1.0
     assert cfg.boost_size == 0.0
@@ -143,8 +145,21 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):
     flag = {"--citations-dist": "--citations-dispersion"}.get(flags[0], flags[0])
     message = capsys.readouterr().err.split("error:", 1)[1]
     assert message.lstrip().startswith(flag)
-    assert not re.search(r"\b(collab_share|master_seed|max_mean|citation_dispersion)\b", message)
+    assert not re.search(r"\b(collab_share|master_seed|citation_mean|citation_dispersion)\b",
+                         message)
     assert not out.exists()  # nothing ran, so no count was written
+
+
+def test_of_several_bad_values_the_first_in_field_order_is_named(tmp_path, capsys):
+    # periods comes before the aging curve's fields in SimulationConfig
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "x.csv"), "--seed", "1",
+              "--periods", "0", "--citations-speed", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "halpha-sim: error: --periods must be an integer of at least 1, got 0"
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -293,6 +308,40 @@ def test_a_killed_pool_worker_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert "out of memory" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to a child process")
+def test_an_interrupt_is_one_error_line_and_exit_130(tmp_path):
+    # Ctrl-C during a run: no traceback, no output files, no thread left behind
+    out = tmp_path / "x.csv"
+    script = (
+        "import sys, threading\n"
+        "from halpha_sim import cli\n"
+        "print('ready', flush=True)\n"
+        "status = cli.main(['--agents', '20000', '--periods', '200', '--runs', '1',\n"
+        f"                   '--seed', '1', '--out', {str(out)!r}])\n"
+        "print(*[t.name for t in threading.enumerate()], flush=True)\n"
+        "sys.exit(status)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(0.5)  # into the run
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert proc.returncode == 130, stderr
+    assert stderr == "error: interrupted\n"
+    assert stdout == "MainThread\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [

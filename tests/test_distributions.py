@@ -15,7 +15,6 @@ from scipy.stats import fisk
 
 from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import (
-    AgingCurve,
     DISPERSION_MIN,
     CountKind,
     _log_logistic_density,
@@ -25,6 +24,13 @@ from halpha_sim.distributions import (
 from halpha_sim.errors import ConfigurationError
 
 N_DRAWS = 100_000
+# the default aging curve: peak 5 expected citations at age 3, steepness 2
+CURVE = {"peak": 3.0, "max_mean": 5.0, "speed": 2.0}
+
+
+def _scale(peak: float, speed: float) -> float:
+    # a log-logistic density's mode is scale * ((speed - 1) / (speed + 1)) ** (1 / speed)
+    return peak * ((speed + 1) / (speed - 1)) ** (1 / speed)
 
 
 def test_poisson_moments():
@@ -106,62 +112,59 @@ def test_same_seed_same_draw_sequence():
 
 
 def test_curve_peak_value_is_exact():
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    assert abs(expected_citations(3, curve) - 5.0) <= 1e-12
+    assert abs(expected_citations(3, **CURVE) - 5.0) <= 1e-12
 
 
 def test_curve_value_at_age_ten():
     # independently computed: 5 * f(10) / f(3) with scale 3*sqrt(3), shape 2
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    assert expected_citations(10, curve) == pytest.approx(1.3392026784053566, rel=1e-9)
+    assert expected_citations(10, **CURVE) == pytest.approx(1.3392026784053566, rel=1e-9)
 
 
 @pytest.mark.parametrize("peak", [1.0, 2.5, 3.0, 7.0])
 @pytest.mark.parametrize("speed", [1.5, 2.0, 4.0])
 def test_curve_matches_scipy_fisk(peak, speed):
-    curve = AgingCurve(peak_period=peak, max_mean=5.0, speed=speed)
-    ref = fisk.pdf(peak, speed, scale=curve.scale)
+    scale = _scale(peak, speed)
+    ref = fisk.pdf(peak, speed, scale=scale)
     for age in range(1, 30):
-        expected = 5.0 * fisk.pdf(age, speed, scale=curve.scale) / ref
-        assert expected_citations(age, curve) == pytest.approx(expected, rel=1e-12)
+        expected = 5.0 * fisk.pdf(age, speed, scale=scale) / ref
+        got = expected_citations(age, peak=peak, max_mean=5.0, speed=speed)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_density_vanishes_at_origin():
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
+    scale = _scale(CURVE["peak"], CURVE["speed"])
     values = [
-        _log_logistic_density(t, curve.scale, curve.speed) for t in (1e-3, 1e-6, 1e-9, 1e-12)
+        _log_logistic_density(t, scale, CURVE["speed"]) for t in (1e-3, 1e-6, 1e-9, 1e-12)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
 
 
 def test_age_below_one_rejected():
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
     with pytest.raises(ValueError):
-        expected_citations(0, curve)
+        expected_citations(0, **CURVE)
 
 
 def test_speed_at_most_one_rejected():
-    with pytest.raises(ConfigurationError):
-        AgingCurve(peak_period=3.0, max_mean=5.0, speed=1.0)
-    with pytest.raises(ConfigurationError):
-        AgingCurve(peak_period=0.0, max_mean=5.0, speed=2.0)
-    with pytest.raises(ConfigurationError):
-        AgingCurve(peak_period=3.0, max_mean=-1.0, speed=2.0)
-    for args in [
-        (math.nan, 5.0, 2.0),
-        (3.0, math.nan, 2.0),
-        (3.0, 5.0, math.nan),
-        (math.inf, 5.0, 2.0),
-        (3.0, math.inf, 2.0),
-        (3.0, 5.0, math.inf),
+    baseline = scenario_config("baseline", master_seed=1)
+    for name, value in [
+        ("citation_speed", 1.0),
+        ("citation_peak", 0.0),
+        ("citation_mean", -1.0),
+        ("citation_peak", math.nan),
+        ("citation_mean", math.nan),
+        ("citation_speed", math.nan),
+        ("citation_peak", math.inf),
+        ("citation_mean", math.inf),
+        ("citation_speed", math.inf),
     ]:
-        with pytest.raises(ConfigurationError):
-            AgingCurve(*args)
+        with pytest.raises(ConfigurationError) as exc:
+            replace(baseline, **{name: value})
+        assert exc.value.fields == (name,)
 
 
-def _assert_unimodal(curve: AgingCurve, max_age: int = 50) -> None:
-    values = [expected_citations(a, curve) for a in range(1, max_age + 1)]
+def _assert_unimodal(curve: dict, max_age: int = 50) -> None:
+    values = [expected_citations(a, **curve) for a in range(1, max_age + 1)]
     mode = int(np.argmax(values))
     # rises to the age nearest the peak, falls after; equality only right at
     # the argmax where two ages straddle a non-integer mode
@@ -169,11 +172,11 @@ def _assert_unimodal(curve: AgingCurve, max_age: int = 50) -> None:
         assert values[i] < values[i + 1] or (i == mode - 1 and values[i] == values[i + 1])
     for i in range(mode, max_age - 1):
         assert values[i] > values[i + 1] or (i == mode and values[i] == values[i + 1])
-    assert abs((mode + 1) - curve.peak_period) <= 1.0
+    assert abs((mode + 1) - curve["peak"]) <= 1.0
 
 
 def test_unimodal_at_default_parameters():
-    _assert_unimodal(AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0))
+    _assert_unimodal(CURVE)
 
 
 @given(
@@ -183,25 +186,22 @@ def test_unimodal_at_default_parameters():
 )
 @settings(max_examples=80)
 def test_unimodal_across_parameters(peak, speed, max_mean):
-    _assert_unimodal(AgingCurve(peak_period=peak, max_mean=max_mean, speed=speed))
+    _assert_unimodal({"peak": peak, "max_mean": max_mean, "speed": speed})
 
 
 def test_citation_sampler_mean_at_peak():
     rng = np.random.default_rng(77)
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    draws = draw_counts(CountKind.POISSON, expected_citations(3, curve), rng, size=N_DRAWS)
+    draws = draw_counts(CountKind.POISSON, expected_citations(3, **CURVE), rng, size=N_DRAWS)
     assert 4.9 <= draws.mean() <= 5.1
 
 
 def test_citation_sampler_mean_at_age_ten():
     rng = np.random.default_rng(78)
-    curve = AgingCurve(peak_period=3.0, max_mean=5.0, speed=2.0)
-    draws = draw_counts(CountKind.POISSON, expected_citations(10, curve), rng, size=N_DRAWS)
+    draws = draw_counts(CountKind.POISSON, expected_citations(10, **CURVE), rng, size=N_DRAWS)
     assert 1.30 <= draws.mean() <= 1.38
 
 
 def test_citation_sampler_zero_max_mean():
     rng = np.random.default_rng(79)
-    curve = AgingCurve(peak_period=3.0, max_mean=0.0, speed=2.0)
-    means = [expected_citations(a, curve) for a in range(1, 50)]
+    means = [expected_citations(a, **{**CURVE, "max_mean": 0.0}) for a in range(1, 50)]
     assert (draw_counts(CountKind.POISSON, means, rng) == 0).all()

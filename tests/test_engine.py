@@ -26,7 +26,7 @@ from scipy.stats import rankdata, spearmanr
 from halpha_sim import engine, model
 from halpha_sim.analysis import aggregate, export_csv
 from halpha_sim.cli import scenario_config
-from halpha_sim.distributions import _AGING_RULES, AgingCurve, CountKind, expected_citations
+from halpha_sim.distributions import CountKind, expected_citations
 from halpha_sim.engine import (
     COUNT_MAX,
     SimulationConfig,
@@ -53,7 +53,9 @@ def make_config(**overrides) -> SimulationConfig:
         paper_kind=CountKind.POISSON,
         paper_mean=5.0,
         citation_kind=CountKind.POISSON,
-        aging=AgingCurve(3.0, 5.0, 2.0),
+        citation_mean=5.0,
+        citation_peak=3.0,
+        citation_speed=2.0,
         alpha_share=0.33,
         master_seed=1234,
     )
@@ -67,7 +69,7 @@ def quiet_config(**overrides) -> SimulationConfig:
         n_agents=4,
         coauthors_mean=2,
         paper_mean=0.0,
-        aging=AgingCurve(3.0, 0.0, 2.0),
+        citation_mean=0.0,
     )
     defaults.update(overrides)
     return make_config(**defaults)
@@ -105,7 +107,7 @@ def quiet_config(**overrides) -> SimulationConfig:
         {"n_agents": math.inf},
         # int32 limits: expected citations per paper and expected table size
         {"boost_size": 2**10 + 1},
-        {"aging": AgingCurve(3.0, 2**30 / 10 * 1.01, 2.0)},  # periods 5: 10 ages
+        {"citation_mean": 2**30 / 10 * 1.01},  # periods 5: 10 ages
         {"n_agents": 2**30},
         {"paper_mean": 2**30 / 20},
         {"periods": 2**30},
@@ -128,8 +130,7 @@ def test_config_validation(overrides):
     with pytest.raises(ConfigurationError) as exc:
         make_config(**overrides)
     # the error names a field the case sets, or the one its setting makes invalid
-    consequence = {"paper_kind": "paper_dispersion", "citation_kind": "citation_dispersion",
-                   "aging": "max_mean"}
+    consequence = {"paper_kind": "paper_dispersion", "citation_kind": "citation_dispersion"}
     assert set(exc.value.fields) & {*overrides, *map(consequence.get, overrides)}
 
 
@@ -141,24 +142,19 @@ def test_config_accepts_numpy_scalars():
 
 
 def test_every_config_field_has_exactly_one_rule():
-    # the rule tables list every field once, in field order, so a new field
+    # the rule table lists every field once, in field order, so a new field
     # cannot skip validation
     assert list(engine._CONFIG_RULES) == [f.name for f in dataclasses.fields(SimulationConfig)]
-    assert list(_AGING_RULES) == [f.name for f in dataclasses.fields(AgingCurve)]
     # and each rule rejects a value of no accepted type, naming its field
     for name in engine._CONFIG_RULES:
         with pytest.raises(ConfigurationError) as exc:
             make_config(**{name: object()})
         assert exc.value.fields == (name,)
-    for name in _AGING_RULES:
-        with pytest.raises(ConfigurationError) as exc:
-            AgingCurve(**{"peak_period": 3.0, "max_mean": 5.0, name: object()})
-        assert exc.value.fields == (name,)
 
 
 def test_config_rejects_a_citation_mean_that_would_wrap_int32():
     # at 1e9 expected citations per period, 35 ages of draws exceed 2**31
-    with pytest.raises(ConfigurationError, match=r"max_mean \* \(periods \+ 5\)"):
+    with pytest.raises(ConfigurationError, match=r"citation_mean \* \(periods \+ 5\)"):
         scenario_config("baseline", 3, agents=10, runs=1, periods=30, citations_mean=1e9)
 
 
@@ -171,17 +167,20 @@ def test_config_rejects_a_citation_mean_that_would_wrap_int32():
 @settings(max_examples=300)
 def test_every_accepted_aging_curve_has_finite_means(peak, speed, max_mean, periods):
     # max_mean * (periods + 5) stays below 2**30, so only the curve can be rejected
-    curve = AgingCurve(peak, max_mean, speed)
     try:
-        make_config(periods=periods, aging=curve)
+        make_config(periods=periods, citation_mean=max_mean, citation_peak=peak,
+                    citation_speed=speed)
     except ConfigurationError as exc:
-        assert exc.fields == ("speed", "peak_period", "periods")
+        assert exc.fields == ("citation_speed", "citation_peak", "periods")
         return
-    assert all(math.isfinite(expected_citations(a, curve)) for a in range(1, periods + 6))
+    assert all(
+        math.isfinite(expected_citations(a, peak=peak, max_mean=max_mean, speed=speed))
+        for a in range(1, periods + 6)
+    )
 
 
 def test_config_accepts_the_int32_limits():
-    make_config(boost_size=2**10, aging=AgingCurve(3.0, 2**30 / 10, 2.0))
+    make_config(boost_size=2**10, citation_mean=2**30 / 10)
     make_config(n_agents=2**30 // 10, paper_mean=5.0)
 
 
@@ -453,7 +452,7 @@ def test_init_state_raises_instead_of_wrapping(monkeypatch):
 
 def test_counts_at_the_citation_limit_stay_exact():
     cfg = make_config(
-        runs=1, n_agents=10, periods=30, aging=AgingCurve(3.0, 2**30 / 35, 2.0),
+        runs=1, n_agents=10, periods=30, citation_mean=2**30 / 35,
         boost_size=2**10, self_citation=True, master_seed=3,
     )
     state = init_state(cfg, 0)
@@ -474,7 +473,7 @@ def test_counts_at_the_citation_limit_stay_exact():
 def test_indices_stay_exact_past_each_count_type(n_agents, paper_mean, max_mean, narrowest):
     # the index pass counts in the smallest type that holds the table width
     cfg = make_config(
-        runs=1, n_agents=n_agents, paper_mean=paper_mean, aging=AgingCurve(3.0, max_mean, 2.0)
+        runs=1, n_agents=n_agents, paper_mean=paper_mean, citation_mean=max_mean
     )
     state = init_state(cfg, 0)
     for step in range(3):
@@ -664,7 +663,7 @@ def test_engine_indices_match_model_on_random_configs(
         paper_mean=paper_mean,
         citation_kind=citations[0],
         citation_dispersion=citations[1],
-        aging=AgingCurve(3.0, max_mean, 2.0),
+        citation_mean=max_mean,
         alpha_share=alpha_share,
         strategic=strategic,
         dynamic_alpha=dynamic_alpha,
@@ -796,27 +795,23 @@ def test_first_run_independent_of_run_count():
     assert np.array_equal(_flatten([first_of_one]), _flatten([first_of_four]))
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
     cfg = make_config(runs=6, master_seed=909)
-    serial = run_experiment(cfg, max_workers=1)
-    threaded = run_experiment(cfg, max_workers=4)
+    threaded = run_experiment(cfg)
+    _cores(monkeypatch, 1)
+    serial = run_experiment(cfg)
     assert [r.run_index for r in threaded] == list(range(6))
     assert np.array_equal(_flatten(serial), _flatten(threaded))
     assert export_csv(aggregate(serial)) == export_csv(aggregate(threaded))
 
 
-@pytest.mark.parametrize("max_workers", [0, -3, True, 1.5, "2"])
-def test_run_experiment_rejects_a_bad_worker_count(max_workers):
-    with pytest.raises(ConfigurationError, match="max_workers") as err:
-        run_experiment(make_config(runs=2), max_workers=max_workers)
-    assert err.value.fields == ("max_workers",)
-
-
-def test_every_valid_worker_count_gives_the_same_results():
+def test_every_valid_worker_count_gives_the_same_results(monkeypatch):
     cfg = make_config(runs=3, master_seed=77)
-    serial = run_experiment(cfg, max_workers=1)
-    for max_workers in (None, 1, 2, np.int64(2)):
-        results = run_experiment(cfg, max_workers=max_workers)
+    _cores(monkeypatch, 1)
+    serial = run_experiment(cfg)
+    for cores in (1, 2, 3):
+        _cores(monkeypatch, cores)
+        results = run_experiment(cfg)
         assert np.array_equal(_flatten(serial), _flatten(results))
         assert export_csv(aggregate(serial)) == export_csv(aggregate(results))
 
@@ -856,10 +851,13 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize(("runs", "max_workers"), [(3, 64), (3, None), (50, None), (1, None)])
-def test_no_more_workers_than_runs_or_cores(monkeypatch, pool_sizes, runs, max_workers):
+@pytest.mark.parametrize(("runs", "cores"), [(3, 64), (3, None), (50, None), (1, None)])
+def test_no_more_workers_than_runs_or_cores(monkeypatch, pool_sizes, runs, cores):
+    # cores None: this process's own CPU affinity
     monkeypatch.setattr(engine, "_can_fork", lambda: True)  # nothing forks: see pool_sizes
-    results = run_experiment(make_config(runs=runs, periods=2), max_workers=max_workers)
+    if cores is not None:
+        _cores(monkeypatch, cores)
+    results = run_experiment(make_config(runs=runs, periods=2))
     assert [r.run_index for r in results] == list(range(runs))
     workers = min(runs, len(os.sched_getaffinity(0)))
     assert pool_sizes == ([workers] if workers > 1 else [])
@@ -868,10 +866,11 @@ def test_no_more_workers_than_runs_or_cores(monkeypatch, pool_sizes, runs, max_w
 def test_without_cpu_affinity_the_cpu_count_bounds_the_pool(monkeypatch, pool_sizes):
     monkeypatch.setattr(engine, "_can_fork", lambda: True)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     cfg = make_config(runs=3, periods=2)
-    assert len(run_experiment(cfg, max_workers=1)) == 3
+    assert len(run_experiment(cfg)) == 3
     assert pool_sizes == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert len(run_experiment(cfg)) == 3
     assert pool_sizes == [2]
 
@@ -882,12 +881,13 @@ def test_runs_stay_in_process_where_the_fork_would_warn(monkeypatch, pool_sizes)
     monkeypatch.setattr(engine, "_FORK_WARNS_ON_THREADS", False)
     assert engine._can_fork() == hasattr(os, "fork")
     monkeypatch.setattr(engine, "_FORK_WARNS_ON_THREADS", True)
+    _cores(monkeypatch, 2)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
         assert not engine._can_fork()
-        results = run_experiment(make_config(runs=3, periods=2), max_workers=2)
+        results = run_experiment(make_config(runs=3, periods=2))
     finally:
         release.set()
         thread.join()
@@ -895,9 +895,10 @@ def test_runs_stay_in_process_where_the_fork_would_warn(monkeypatch, pool_sizes)
     assert pool_sizes == []
 
 
-def test_period_rows_are_views_of_the_int32_columns():
+def test_period_rows_are_views_of_the_int32_columns(monkeypatch):
     cfg = make_config(runs=2, periods=4, strategic=True)
-    for run in run_experiment(cfg, max_workers=1):
+    _cores(monkeypatch, 1)
+    for run in run_experiment(cfg):
         for name in ("h", "h_alpha", "paper_counts"):
             column = getattr(run, name)
             assert column.dtype == np.int32
@@ -913,13 +914,14 @@ def test_period_rows_are_views_of_the_int32_columns():
                     run.teams[i, 0, 0]) == (-5, -6, -7, -8)
 
 
-@pytest.mark.parametrize("max_workers", [2, 3])
-def test_uneven_blocks_of_runs_give_the_serial_results(monkeypatch, max_workers):
+@pytest.mark.parametrize("cores", [2, 3])
+def test_uneven_blocks_of_runs_give_the_serial_results(monkeypatch, cores):
     # 7 runs: blocks of 4 and 3, or of 3, 2 and 2, each written by its worker
     cfg = make_config(runs=7, master_seed=303, strategic=True)
-    serial = run_experiment(cfg, max_workers=1)
-    _cores(monkeypatch, 3)
-    pooled = run_experiment(cfg, max_workers=max_workers)
+    _cores(monkeypatch, 1)
+    serial = run_experiment(cfg)
+    _cores(monkeypatch, cores)
+    pooled = run_experiment(cfg)
     assert [r.run_index for r in pooled] == list(range(7))
     assert np.array_equal(_flatten(pooled), _flatten(serial))
     assert all(np.array_equal(a.teams, b.teams) for a, b in zip(pooled, serial))
@@ -934,7 +936,8 @@ def test_pool_tasks_send_nothing_back(monkeypatch, pool_sizes):
     results = run_experiment(cfg)
     assert pool_sizes == [2]
     assert pool_sizes.returned == [None, None]
-    assert np.array_equal(_flatten(results), _flatten(run_experiment(cfg, max_workers=1)))
+    _cores(monkeypatch, 1)
+    assert np.array_equal(_flatten(results), _flatten(run_experiment(cfg)))
 
 
 # --- the draw thread ----------------------------------------------------------
@@ -965,13 +968,14 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
     inline = run_experiment(cfg)
     assert draw_threads == []
     _cores(monkeypatch, 2)
+    monkeypatch.setattr(engine, "_can_fork", lambda: False)  # the runs stay in this process
     # tiny chunks and thread switches every few bytecodes: the hand-over is
     # stressed, and a draw taken out of order would change the results
     monkeypatch.setattr(engine, "_CHUNK", 3)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = run_experiment(cfg, max_workers=1)
+        threaded = run_experiment(cfg)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before

@@ -53,6 +53,12 @@ CASES = {
         "--agents", "60", "--runs", "3", "--periods", "6", "--diligence-share", "0.001",
         "--seed", "109", "--per-run",
     ],
+    # every aging-curve flag off its default, so each must reach its own field
+    "curve": [
+        "--citations-mean", "4", "--citations-peak", "2.5", "--citations-speed", "3.5",
+        "--citations-dist", "nbinomial", "--citations-dispersion", "1.5",
+        "--agents", "60", "--runs", "4", "--periods", "6", "--seed", "110", "--per-run",
+    ],
     "config_file": ["--per-run"],
 }
 
@@ -72,6 +78,11 @@ GOLDEN = {
         "dad84fc55a0de4ac3ed0cf3133cba11223e330ce9b2a49c7e544daa557ff4d0b",
         "b3a18ac96ee01049dbffd25dd572997c83f6ed54bfd4f76a686a93781c720d2a",
         "3c9ff4adac2f97a60650322180275b43b378e997ae4f43814ac543f7a3456b88",
+    ),
+    "curve": (
+        "3170e1a62c02869d0607a9b23331da95a594ad00df156bf4684c2ccb9a060a68",
+        "34f12f96cb4042228744fb4e6218fc2c108eb684ead035b7a4a43468eb9ca242",
+        "5eeb80db09377af2722683b5b59495f8620894ac70ed37e577bc88681f3e897a",
     ),
     "diligence": (
         "db44d35f21b81fc18394a2d1d727ad3dd9a2b42b8d3b14c2eec6a1e5fedbd553",
