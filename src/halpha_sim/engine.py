@@ -590,10 +590,11 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
 class _DrawThread:
     """A run's draws, made on a second thread about one period ahead of the layers.
 
-    Used as a context manager around a run's periods, right after
-    ``init_state``: it puts itself in ``state.rng``, and on exit shuts down
-    its one-worker executor, which cancels the draws not yet started and
-    joins the thread, and puts the run's generator back. It then holds no
+    Built right after ``init_state``; ``most_live`` is the papers the last
+    period cites. Entered around the run's periods, it starts a one-worker
+    executor and puts itself in ``state.rng``; on exit it shuts that down,
+    which cancels the draws not yet started and joins the thread, and puts
+    the run's generator back. It then holds no
     reference to the state, so the state is freed when the run ends, not when
     the cyclic garbage collector happens to run. It answers the five
     generator calls the layers and ``draw_counts`` make (``choice``,
@@ -618,19 +619,19 @@ class _DrawThread:
     """
 
     def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
-        # here: importing the package, and a run in a pool worker, need no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-
         count, teams = _collaborator_count(config), _teams_per_period(config)
-        self._state, self._rng = state, state.rng
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
-        submit, schedule = self._pool.submit, state.published_period
-        draws = self._draw(config, state.rng, state.citation_means, schedule, count, teams)
-        self._submitted = ((kind, size, submit(draw)) for kind, size, draw in draws)
-        most_live = _cited_papers(schedule, config.periods, teams, config.periods)
-        self._ahead = 2 + -(-most_live // _CHUNK)
+        self._state, self._rng, schedule = state, state.rng, state.published_period
+        self._draws = self._draw(config, state.rng, state.citation_means, schedule, count, teams)
+        self.most_live = _cited_papers(schedule, config.periods, teams, config.periods)
+        self._ahead = 2 + -(-self.most_live // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
+        # here: importing the package, and a run that draws inline, need no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
+        submit = self._pool.submit
+        self._submitted = ((kind, size, submit(draw)) for kind, size, draw in self._draws)
         self._state.rng = self
         self._pending = deque(islice(self._submitted, self._ahead))
         return self
@@ -697,13 +698,15 @@ def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
     return counts.astype(np.min_scalar_type(counts.max()))
 
 
-def _run_one(config: SimulationConfig, run: RunResult, prefetch: bool = False) -> None:
-    """Simulate run ``run.run_index`` and write its rows into ``run``'s columns."""
+def _run_one(config: SimulationConfig, run: RunResult) -> None:
+    """Simulate run ``run.run_index`` and write its rows into ``run``'s columns;
+    see ``run_experiment`` for the one rule that puts its draws on a thread."""
     state = init_state(config, run.run_index)
     run.h[0], run.h_alpha[0], run.paper_counts[0] = (
         state.current_h, state.current_h_alpha, state.agent_paper_counts
     )
-    with _DrawThread(state, config) if prefetch else contextlib.nullcontext():
+    draws = _DrawThread(state, config)
+    with draws if _usable_cores() > 1 and draws.most_live >= _CHUNK else contextlib.nullcontext():
         for row in run.periods:
             pm = step_period(state, config)
             row.h[:], row.h_alpha[:], row.paper_counts[:], row.teams[:] = (
@@ -794,20 +797,21 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     A worker that dies (killed by the system when out of memory, say) is a
     MemoryError.
 
-    A run in this process on a host with more than one usable core makes its
-    draws on a second thread (``_DrawThread``: a one-worker executor, whose
-    thread is named ``halpha-draws_0``), about one period ahead of the index
-    pass, which then runs while the next period's counts are drawn. Besides the
-    generator it reads only two read-only arrays, and the draws and so the results
-    are the same; the executor is shut down and its thread joined before the run
-    ends, also when it fails. A pool worker draws inline.
+    A run, in this process or in a pool worker, makes its draws on a second
+    thread (``_DrawThread``: a one-worker executor, whose thread is named
+    ``halpha-draws_0``) when the process has more than one usable core and the
+    run's last period cites at least ``_CHUNK`` papers; smaller runs, and every
+    run on one core, draw inline, which is faster there. The thread draws about
+    one period ahead of the index pass, which then runs while the next period's
+    counts are drawn. Besides the generator it reads only two read-only arrays,
+    and the draws and so the results are the same on either path; the executor
+    is shut down and its thread joined before the run ends, also when it fails.
     """
     workers = min(config.runs, _usable_cores())
     runs = _allocate_runs(config)
     if workers == 1 or not _can_fork():
-        prefetch = _usable_cores() > 1
         for run in runs:
-            _run_one(config, run, prefetch)
+            _run_one(config, run)
         return runs
     # Imported here: a serial call, and importing the package, need neither.
     from concurrent.futures import ProcessPoolExecutor

@@ -394,6 +394,7 @@ def test_a_count_past_int32_on_the_draw_thread_is_the_same_runtime_error(
             raise
 
     monkeypatch.setattr(engine, "_checked_counts", checked)
+    monkeypatch.setattr(engine, "_CHUNK", 7)  # a run this small takes the thread
     outcomes = []
     for cores in (2, 1):
         _cores(monkeypatch, cores)

@@ -996,6 +996,7 @@ def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
         return state
 
     monkeypatch.setattr(engine, "init_state", recording)
+    monkeypatch.setattr(engine, "_CHUNK", 7)  # a run this small takes the thread
     _cores(monkeypatch, 2)
     gc.disable()
     try:
@@ -1146,6 +1147,62 @@ def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper
         for _ in range(cfg.periods):
             step_period(state, cfg)
     assert threading.active_count() == before
+
+
+def _last_cited(cfg) -> int:
+    """The papers cited in the last period of run 0 of ``cfg``."""
+    state = init_state(cfg, 0)
+    return engine._cited_papers(state.published_period, cfg.periods,
+                                engine._teams_per_period(cfg), cfg.periods)
+
+
+@pytest.mark.parametrize(("cores", "offset", "threaded"), [
+    (2, 0, True), (2, 1, False), (1, 0, False), (1, -50, False),
+], ids=["two_cores_at_a_chunk", "two_cores_below", "one_core_at", "one_core_above"])
+def test_a_run_in_this_process_draws_on_the_thread_where_it_pays(
+    monkeypatch, draw_threads, cores, offset, threaded
+):
+    # one rule: more than one usable core, and at least _CHUNK papers cited in
+    # the last period; _CHUNK is set `offset` papers above that period's count
+    cfg = make_config(runs=1, periods=4, master_seed=61)
+    _cores(monkeypatch, 1)
+    inline = _flatten(run_experiment(cfg))
+    monkeypatch.setattr(engine, "_CHUNK", _last_cited(cfg) + offset)
+    _cores(monkeypatch, cores)
+    assert np.array_equal(_flatten(run_experiment(cfg)), inline)
+    assert len(draw_threads) == threaded
+
+
+@pytest.mark.parametrize(("n_agents", "periods", "threaded"), [
+    (200, 20, False),  # the CLI's default scale: about 0.2 chunks
+    (2000, 10, True),  # about 1.6 chunks
+])
+def test_the_default_scale_draws_inline_and_a_larger_run_on_the_thread(
+    monkeypatch, draw_threads, n_agents, periods, threaded
+):
+    cfg = make_config(runs=1, n_agents=n_agents, periods=periods, paper_mean=10.0)
+    assert (_last_cited(cfg) >= engine._CHUNK) == threaded
+    _cores(monkeypatch, 2)
+    run_experiment(cfg)
+    assert len(draw_threads) == threaded
+
+
+@pytest.mark.parametrize(("offset", "threaded"), [(0, 2), (1, 0)], ids=["at_a_chunk", "below"])
+def test_pool_workers_draw_on_the_thread_by_the_same_rule(
+    monkeypatch, pool_sizes, draw_threads, offset, threaded
+):
+    # the rule does not ask where the run executes; with no back catalog both
+    # runs cite the same papers, 3 periods of 7 teams in the last one
+    monkeypatch.setattr(engine, "_can_fork", lambda: True)  # nothing forks: see pool_sizes
+    cfg = make_config(runs=2, periods=4, paper_mean=0.0, master_seed=62)
+    _cores(monkeypatch, 1)
+    inline = _flatten(run_experiment(cfg))
+    assert _last_cited(cfg) == 21
+    monkeypatch.setattr(engine, "_CHUNK", 21 + offset)
+    _cores(monkeypatch, 2)
+    assert np.array_equal(_flatten(run_experiment(cfg)), inline)
+    assert pool_sizes == [2]
+    assert len(draw_threads) == threaded
 
 
 def test_pool_workers_draw_inline(monkeypatch, pool_sizes, draw_threads):

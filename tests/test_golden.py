@@ -59,6 +59,11 @@ CASES = {
         "--citations-dist", "nbinomial", "--citations-dispersion", "1.5",
         "--agents", "60", "--runs", "4", "--periods", "6", "--seed", "110", "--per-run",
     ],
+    # one run whose last period cites about 1.6 chunks of papers: on two or more
+    # cores it draws on the draw thread, on one core inline, with the same bytes
+    "threaded": [
+        "--agents", "2000", "--periods", "10", "--runs", "1", "--seed", "111", "--per-run",
+    ],
     "config_file": ["--per-run"],
 }
 
@@ -103,6 +108,11 @@ GOLDEN = {
         "cb2e4672dc81c6a293ed7376abd17e4e37d7cd898afc6a98f51801ac276e6a3f",
         "59e8e2d4400501d6daf5c2201b7b5a759d046b97212fe5ba75057a6089259729",
         "4dc5efcffda039582a0a40589f2943b859e4c57a64a88b30c42831056b275622",
+    ),
+    "threaded": (
+        "819bed728c9d9d904767770eb756121136d93dcf6400e3c9b38a6ef1f98f6e19",
+        "46e612c96982b17185da71e78ab27519182d6c6f77d66baee63576c9a299f47e",
+        "5496ba58111b62d2dae2e591fb8032a0ece25037382aae391342a2f15227367f",
     ),
     "wide": (
         "6b5a7233d6301cc178bdb42eae9c13513e7e856bac2b577a869add97af36a9b3",
