@@ -12,7 +12,9 @@ reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import secrets
 import sys
@@ -251,8 +253,44 @@ def _render_echo(config: SimulationConfig, options: CliOptions) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_files(files: list[tuple[Path, bytes | str]]) -> None:
+    """Write every (path, content) pair, or none of them.
+
+    Each content goes to a temporary file in its path's directory (text as
+    UTF-8), and all are moved into place with ``os.replace`` only once every
+    one is written. On an error the temporary files are removed, the files
+    already at those paths stay as they were, and the OSError names the path
+    it concerns.
+    """
+    temporaries: list[Path] = []
+    try:
+        for path, content in files:
+            temporary = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+            binary = isinstance(content, bytes)
+            try:
+                with open(temporary, "xb" if binary else "x",
+                          encoding=None if binary else "utf-8") as fh:
+                    temporaries.append(temporary)
+                    fh.write(content)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+        # os.replace cannot put a file in a directory's place: fail before any move
+        for path, _ in files:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for (path, _), temporary in zip(files, temporaries):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)  # those moved into place are gone
+        raise
+
+
 def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
-    """Run the experiment, write CSV and config echo, print the summary."""
+    """Run the experiment, write CSV and config echo, print the summary.
+
+    The output files are replaced together or not at all (``_write_files``).
+    """
     try:
         runs = run_experiment(config)
         result = aggregate(runs)
@@ -260,11 +298,12 @@ def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
+    files = [(options.out, export_csv(result))]
+    if options.per_run:
+        files.append((per_run_path(options.out), export_csv(result, per_run=True)))
+    files.append((config_echo_path(options.out), _render_echo(config, options)))
     try:
-        options.out.write_bytes(export_csv(result))
-        if options.per_run:
-            per_run_path(options.out).write_bytes(export_csv(result, per_run=True))
-        config_echo_path(options.out).write_text(_render_echo(config, options), encoding="utf-8")
+        _write_files(files)
     except OSError as exc:
         target = getattr(exc, "filename", None) or options.out
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)

@@ -12,11 +12,14 @@ cross-check this implementation in the test suite.
 
 Determinism: run ``i`` draws from a generator seeded with
 (master_seed, spawn_key=i), so results are independent of execution order
-and of how many runs share the experiment. The layers draw from the run's
-generator, ``state.rng``. After ``init_state`` those draws depend only on the
-config and the generator, never on h, so a second thread can make them ahead
-of the layers, in the same order and with the same results: a ``_DrawThread``
-then stands in for the generator.
+and of how many runs share the experiment. A state holds a batch of runs
+stacked as one table (see ``SimulationState``), and each run keeps its own
+generator in ``state.rngs``: the layers loop over the runs only for the calls
+that draw from one, and make those calls in each run's own order. Every other
+step is one vector operation over the batch. After ``init_state`` the draws
+depend only on the config and the generator, never on h, so a second thread
+can make a run's draws ahead of the layers, in the same order and with the
+same results: a ``_DrawThread`` then stands in for the run's generator.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ BOOST_SIZE_MAX = 2**10
 # Live papers per citation draw: each draw's temporaries stay small, and with
 # a draw thread the layers can take a period's first chunks while it draws the rest.
 _CHUNK = 2**14
+# Cells (agent rows x allocated width) of the largest paper table a batch of
+# several stacked runs may have: the bound on what _run_block stacks.
+_BATCH_CELLS = 2**16
 
 
 def _is_integer(value) -> bool:
@@ -229,13 +235,26 @@ class RunResult:
 
 @dataclass
 class SimulationState:
-    """Array-backed state of a single run.
+    """Array-backed state of a batch of runs: one run from ``init_state``,
+    several stacked by ``_stack``.
 
-    Paper rows 0..n_papers-1 are valid; ``authors`` pads short teams with -1.
+    Agent row ``r * n + i`` is agent i of the batch's run r (n agents per
+    run). Paper ids ``r * S`` to ``(r + 1) * S - 1`` are run r's segment, S
+    being ``published_period.size`` over the runs: its back catalog ends at
+    column ``back_width`` of the segment and starts at column
+    ``first_paper[r]``, and the columns from ``back_width`` on hold its
+    scheduled papers, so every run publishes a period's papers in the same
+    columns. Columns 0..n_papers-1 of every segment are in use. The columns
+    ahead of a shorter back catalog are padding: no author, no citation,
+    ``published_period`` 0, never in a table nor cited. A run alone has no
+    padding, and its paper ids are its columns. Teams, authors and credited
+    authors hold agent rows, and one sentinel serves the batch.
+
+    ``authors`` pads short teams with -1.
     It is int32, to halve its memory, and is cast to intp before numpy
     gathers through it, which is about 3x slower through an int32 index; so
     are the ages ``cite_papers`` and ``_citation_draw`` take from ``published_period``.
-    ``agent_papers[i, :agent_paper_counts[i]]`` lists agent i's paper ids, and
+    ``agent_papers[i, :agent_paper_counts[i]]`` lists agent row i's paper ids, and
     its empty slots hold the id ``capacity`` of a sentinel paper: entry
     ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
     ``EXTERNAL_AUTHOR``, so a gather through the table needs no mask and an
@@ -251,16 +270,19 @@ class SimulationState:
     ``citations`` and ``alpha_author`` through a contiguous index array about
     twice as fast. Indexing is the same in either order.
 
-    ``rng`` is the run's generator, which the layers draw the collaborator
-    choice, the team shuffle and the citation counts from. ``run_experiment``
-    may put a ``_DrawThread`` in its place, which draws the same numbers ahead
-    of the layers, reading the read-only ``published_period`` and ``citation_means``.
+    ``rngs`` holds each run's generator, which the layers draw the
+    collaborator choice, the team shuffle and the citation counts from.
+    ``_run_block`` may put a ``_DrawThread`` in the place of a lone run's
+    generator, which draws the same numbers ahead of the layers, reading the
+    read-only ``published_period`` and ``citation_means``.
     """
 
     period: int
-    rng: np.random.Generator | _DrawThread
-    n_agents: int
-    n_papers: int
+    rngs: list[np.random.Generator | _DrawThread]
+    n_agents: int  # agent rows: runs x agents per run
+    n_papers: int  # columns in use in each run's segment
+    back_width: int  # columns of a segment before its first scheduled paper
+    first_paper: np.ndarray  # each run's first column: its padding
     citations: np.ndarray
     published_period: np.ndarray  # int32 schedule: each paper id's period; read-only
     alpha_author: np.ndarray
@@ -273,6 +295,11 @@ class SimulationState:
     current_h_alpha: np.ndarray
     citation_means: np.ndarray  # expected citations indexed by age; read-only
     diligence_z: np.ndarray | None = None
+
+    def segments(self, array: np.ndarray) -> np.ndarray:
+        """A paper array without its sentinel, one row per run's segment."""
+        runs = len(self.rngs)
+        return array[: self.published_period.size].reshape(runs, -1, *array.shape[1:])
 
 
 def rank_normal_scores(values) -> np.ndarray:
@@ -308,8 +335,15 @@ def _cited_papers(published_period: np.ndarray, periods: int, teams: int, period
     return published_period.size - (periods + 1 - period) * teams
 
 
+def _last_cited(state: SimulationState, config: SimulationConfig) -> int:
+    """Papers a run cites in its last period: the count that decides whether
+    it makes its draws on a ``_DrawThread`` (see ``_run_block``)."""
+    return _cited_papers(state.published_period, config.periods, _teams_per_period(config),
+                         config.periods)
+
+
 def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
-    """Build the period-0 population for one run.
+    """Build the period-0 population for one run, a batch of one.
 
     Each agent draws its back-catalog size from the paper distribution; each
     of those papers is solo-attributed, one to five periods old, credited to
@@ -352,9 +386,11 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
 
     state = SimulationState(
         period=0,
-        rng=rng,
+        rngs=[rng],
         n_agents=n,
         n_papers=total_initial,
+        back_width=total_initial,
+        first_paper=np.zeros(1, dtype=np.int64),
         citations=np.zeros(capacity + 1, dtype=np.int32),
         published_period=np.concatenate((-ages, schedule), dtype=np.int32),
         alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
@@ -390,7 +426,8 @@ def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
 
 
 def select_collaborators(state: SimulationState, config: SimulationConfig) -> np.ndarray:
-    """Pick the agents who publish this period.
+    """Pick the agents who publish this period, run by run: the agent rows of
+    each run's publishers, one run after the other.
 
     With no diligence correlation this is a uniform subset of
     round(collab_share * n) agents. Otherwise each agent gets a latent score
@@ -401,46 +438,55 @@ def select_collaborators(state: SimulationState, config: SimulationConfig) -> np
     count = _collaborator_count(config)
     if count <= 0:
         return np.empty(0, dtype=np.int64)
+    n, runs = config.n_agents, len(state.rngs)
+    first_row = np.arange(0, runs * n, n)[:, None]
     if config.diligence_correlation == 0:
-        return state.rng.choice(config.n_agents, size=count, replace=False)
+        chosen = np.stack([rng.choice(n, size=count, replace=False) for rng in state.rngs])
+        return (chosen + first_row).ravel()
     rho = config.diligence_correlation
-    eps = state.rng.standard_normal(config.n_agents)
-    scores = rho * state.diligence_z + math.sqrt(1.0 - rho * rho) * eps
-    return np.argsort(-scores, kind="stable")[:count].astype(np.int64)
+    eps = np.stack([rng.standard_normal(n) for rng in state.rngs])
+    scores = rho * state.diligence_z.reshape(runs, n) + math.sqrt(1.0 - rho * rho) * eps
+    return (np.argsort(-scores, axis=1, kind="stable")[:, :count] + first_row).ravel()
 
 
 def form_teams(
     collaborators: np.ndarray, config: SimulationConfig, state: SimulationState
 ) -> np.ndarray:
-    """Partition collaborators into teams; one row per team, -1 padded.
+    """Partition each run's collaborators into teams; one row per team, -1
+    padded, a run's teams after the previous run's.
 
     Random mode shuffles and chunks into groups of coauthors_mean, any
     remainder forming one smaller team. Strategic mode seeds each team with
     one of the top-h collaborators (ties to the smaller id) and deals the
     shuffled rest into the open slots.
     """
-    m = len(collaborators)
+    runs = len(state.rngs)
+    ids = np.asarray(collaborators, dtype=np.int64).reshape(runs, -1)
+    m = ids.shape[1]
     co = _team_width(config)
     k = -(-m // co)
     if not config.strategic:
-        padded = np.full(k * co, -1, dtype=np.int64)
-        padded[:m] = state.rng.permutation(collaborators)
-        return padded.reshape(k, co)
-    ids = np.asarray(collaborators, dtype=np.int64)
-    order = np.lexsort((ids, -state.current_h[ids]))
-    seeds = ids[order[:k]]
-    rest = state.rng.permutation(ids[order[k:]])
-    fill = np.full(k * (co - 1), -1, dtype=np.int64)
-    fill[: rest.size] = rest
-    return np.concatenate([seeds[:, None], fill.reshape(k, co - 1)], axis=1)
+        padded = np.full((runs, k * co), -1, dtype=np.int64)
+        padded[:, :m] = [rng.permutation(row) for rng, row in zip(state.rngs, ids)]
+        return padded.reshape(runs * k, co)
+    # higher h first, then the smaller id, as in _credited_authors; keys are unique in a row
+    key = state.current_h[ids].astype(np.int64) * (state.current_h.size + 1) - ids
+    ranked = np.take_along_axis(ids, np.argsort(-key, axis=1), axis=1)
+    fill = np.full((runs, k * (co - 1)), -1, dtype=np.int64)
+    fill[:, : m - k] = [rng.permutation(row) for rng, row in zip(state.rngs, ranked[:, k:])]
+    return np.concatenate([ranked[:, :k].reshape(-1, 1), fill.reshape(runs * k, co - 1)], axis=1)
 
 
 def publish(teams: np.ndarray, state: SimulationState, config: SimulationConfig) -> None:
-    """Append one zero-citation paper per team, crediting the highest-h member.
-    They are the papers ``published_period`` holds for ``state.period``: call it
-    once per period, after advancing ``state.period``, as ``step_period`` does."""
-    k = teams.shape[0]
-    ids = state.n_papers + np.arange(k)
+    """Append one zero-citation paper per team, crediting the highest-h member;
+    each run's teams are the same count of rows in run order, as ``form_teams``
+    gives them. They are the papers ``published_period`` holds for
+    ``state.period``: call it once per period, after advancing ``state.period``,
+    as ``step_period`` does."""
+    runs = len(state.rngs)
+    k = teams.shape[0] // runs
+    segment = state.published_period.size // runs
+    ids = (np.arange(runs)[:, None] * segment + state.n_papers + np.arange(k)).ravel()
     state.alpha_author[ids], state.boost_anchor[ids] = _credited_authors(teams, state.current_h)
     state.authors[ids, : teams.shape[1]] = teams
     state.n_papers += k
@@ -461,34 +507,38 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     round(boost_anchor * boost_size) additional citations once, in its first
     citation period; papers from before the simulation never see it.
 
-    The live papers, a prefix of the schedule (``_cited_papers``), are drawn in
-    ``_CHUNK``-paper chunks as in one draw, so the chunk size changes no number.
+    The live papers, a prefix of each run's schedule (``_cited_papers``), are
+    drawn run by run in ``_CHUNK``-paper chunks as in one draw, so the chunk
+    size changes no number. Everything else is done over the whole batch.
     """
-    b = min(state.n_papers, _cited_papers(state.published_period, config.periods,
+    born = state.segments(state.published_period)
+    b = min(state.n_papers, _cited_papers(born[0], config.periods,
                                           _teams_per_period(config), state.period))
-    born = state.published_period[:b]
-    gained = np.zeros(b, dtype=np.int64)
-    for start in range(0, b, _CHUNK):
-        chunk = born[start : start + _CHUNK]
-        gained[start : start + chunk.size] = draw_counts(
-            config.citation_kind,
-            state.citation_means[(state.period - chunk).astype(np.intp)],  # see SimulationState
-            state.rng,
-            config.citation_dispersion,
-        )
+    born = born[:, :b]
+    gained = np.zeros(born.shape, dtype=np.int64)
+    for rng, column, row, out in zip(state.rngs, state.first_paper, born, gained):
+        for start in range(column, b, _CHUNK):
+            chunk = row[start : start + _CHUNK]
+            out[start : start + chunk.size] = draw_counts(
+                config.citation_kind,
+                state.citation_means[(state.period - chunk).astype(np.intp)],  # see SimulationState
+                rng,
+                config.citation_dispersion,
+            )
 
+    citations = state.segments(state.citations)[:, :b]
     if config.self_citation:
-        authors = state.authors[:b].astype(np.intp)  # see SimulationState
-        lead = _member_h(authors, state.current_h) - state.citations[:b, None]
-        gained[((lead == 1) | (lead == 2)).any(axis=1)] += 1  # padding leads by -1 or less
+        authors = state.segments(state.authors)[:, :b].astype(np.intp)  # see SimulationState
+        lead = _member_h(authors, state.current_h) - citations[..., None]
+        gained[((lead == 1) | (lead == 2)).any(axis=-1)] += 1  # padding leads by -1 or less
 
     if config.boost_size > 0:
-        first = np.flatnonzero(born == state.period - 1)
-        extra = np.floor(state.boost_anchor[first] * config.boost_size + 0.5)
+        first = np.nonzero(born == state.period - 1)
+        extra = np.floor(state.segments(state.boost_anchor)[:, :b][first] * config.boost_size + 0.5)
         gained[first] += extra.astype(np.int64)
 
-    gained += state.citations[:b]
-    state.citations[:b] = _checked_counts(gained)
+    gained += citations
+    citations[...] = _checked_counts(gained)
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
@@ -563,15 +613,24 @@ def _credited_authors(rows: np.ndarray, current_h: np.ndarray) -> tuple[np.ndarr
 
 
 def _reassign_alpha_authors(state: SimulationState) -> None:
-    """Re-credit every paper to its currently highest-h author (ties to smaller id)."""
-    p = state.n_papers
-    authors = state.authors[:p].astype(np.intp)  # see SimulationState
-    state.alpha_author[:p] = _credited_authors(authors, state.current_h)[0]
+    """Re-credit every paper to its currently highest-h author (ties to smaller id).
+
+    A back-catalog paper has one author, its owner, so only the team papers
+    go through ``_credited_authors``.
+    """
+    back, used = state.back_width, state.n_papers
+    authors, alpha = state.segments(state.authors), state.segments(state.alpha_author)
+    alpha[:, :back] = authors[:, :back, 0]  # padding has no author: EXTERNAL_AUTHOR
+    teams = authors[:, back:used].astype(np.intp).reshape(-1, authors.shape[2])  # see SimulationState
+    alpha[:, back:used] = _credited_authors(teams, state.current_h)[0].reshape(len(alpha), -1)
 
 
 def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetrics:
     """Advance one period: select, team up, publish, cite, then one index pass
-    that raises h, re-credits every paper under ``dynamic_alpha`` and counts h-alpha."""
+    that raises h, re-credits every paper under ``dynamic_alpha`` and counts h-alpha.
+
+    The metrics hold the batch's agent rows and teams, run after run.
+    """
     state.period += 1
     collaborators = select_collaborators(state, config)
     teams = form_teams(collaborators, config, state)
@@ -590,13 +649,12 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
 class _DrawThread:
     """A run's draws, made on a second thread about one period ahead of the layers.
 
-    Built right after ``init_state``; ``most_live`` is the papers the last
-    period cites. Entered around the run's periods, it starts a one-worker
-    executor and puts itself in ``state.rng``; on exit it shuts that down,
-    which cancels the draws not yet started and joins the thread, and puts
-    the run's generator back. It then holds no
-    reference to the state, so the state is freed when the run ends, not when
-    the cyclic garbage collector happens to run. It answers the five
+    Built right after ``init_state``. Entered around the periods of the run, a
+    batch of one, it starts a one-worker executor and puts itself in
+    ``state.rngs``; on exit it shuts that down, which cancels the draws not yet
+    started and joins the thread, and puts the run's generator back. It then
+    holds no reference to the state, so the state is freed when the run ends,
+    not when the cyclic garbage collector happens to run. It answers the five
     generator calls the layers and ``draw_counts`` make (``choice``,
     ``standard_normal``, ``permutation``, ``poisson`` and
     ``negative_binomial``) with the result of the next draw it submitted. ``_draw`` lists those draws on the calling thread, in the
@@ -620,10 +678,9 @@ class _DrawThread:
 
     def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
         count, teams = _collaborator_count(config), _teams_per_period(config)
-        self._state, self._rng, schedule = state, state.rng, state.published_period
-        self._draws = self._draw(config, state.rng, state.citation_means, schedule, count, teams)
-        self.most_live = _cited_papers(schedule, config.periods, teams, config.periods)
-        self._ahead = 2 + -(-self.most_live // _CHUNK)
+        self._state, self._rng, schedule = state, state.rngs[0], state.published_period
+        self._draws = self._draw(config, self._rng, state.citation_means, schedule, count, teams)
+        self._ahead = 2 + -(-_last_cited(state, config) // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
         # here: importing the package, and a run that draws inline, need no thread pool
@@ -632,13 +689,13 @@ class _DrawThread:
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
         submit = self._pool.submit
         self._submitted = ((kind, size, submit(draw)) for kind, size, draw in self._draws)
-        self._state.rng = self
+        self._state.rngs[0] = self
         self._pending = deque(islice(self._submitted, self._ahead))
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
-        self._state.rng, self._state = self._rng, None
+        self._state.rngs[0], self._state = self._rng, None
 
     @staticmethod
     def _draw(config, rng, citation_means, schedule, count, teams):
@@ -698,24 +755,105 @@ def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
     return counts.astype(np.min_scalar_type(counts.max()))
 
 
-def _run_one(config: SimulationConfig, run: RunResult) -> None:
-    """Simulate run ``run.run_index`` and write its rows into ``run``'s columns;
-    see ``run_experiment`` for the one rule that puts its draws on a thread."""
-    state = init_state(config, run.run_index)
-    run.h[0], run.h_alpha[0], run.paper_counts[0] = (
-        state.current_h, state.current_h_alpha, state.agent_paper_counts
+def _stack(states: list[SimulationState], config: SimulationConfig) -> SimulationState:
+    """The period-0 states of several runs as one batch, in order (see
+    ``SimulationState``); the state of a single run as it is, with no copy."""
+    if len(states) == 1:
+        return states[0]
+    runs, n = len(states), config.n_agents
+    back = max(s.n_papers for s in states)  # at period 0, each run's back catalog
+    segment = back + config.periods * _teams_per_period(config)
+    capacity = runs * segment
+    width = max(s.agent_papers.shape[1] for s in states)
+    batch = SimulationState(
+        period=0,
+        rngs=[s.rngs[0] for s in states],
+        n_agents=runs * n,
+        n_papers=back,
+        back_width=back,
+        first_paper=np.array([back - s.n_papers for s in states], dtype=np.int64),
+        citations=np.zeros(capacity + 1, dtype=np.int32),
+        published_period=np.zeros(capacity, dtype=np.int32),
+        alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
+        boost_anchor=np.zeros(capacity, dtype=np.int64),
+        authors=np.full((capacity, _team_width(config)), -1, dtype=np.int32),
+        agent_papers=np.full((runs * n, width), capacity, dtype=np.int64, order="F"),
+        agent_paper_counts=np.concatenate([s.agent_paper_counts for s in states]),
+        initial_h=np.concatenate([s.initial_h for s in states]),
+        current_h=np.concatenate([s.current_h for s in states]),
+        current_h_alpha=np.concatenate([s.current_h_alpha for s in states]),
+        citation_means=states[0].citation_means,
+        diligence_z=None if states[0].diligence_z is None
+        else np.concatenate([s.diligence_z for s in states]),
     )
-    draws = _DrawThread(state, config)
-    with draws if _usable_cores() > 1 and draws.most_live >= _CHUNK else contextlib.nullcontext():
-        for row in run.periods:
-            pm = step_period(state, config)
-            row.h[:], row.h_alpha[:], row.paper_counts[:], row.teams[:] = (
-                pm.h, pm.h_alpha, pm.paper_counts, pm.teams
-            )
+    batch.citations[capacity] = -1
+    for r, s in enumerate(states):
+        ids = slice((r + 1) * segment - s.published_period.size, (r + 1) * segment)
+        batch.citations[ids] = s.citations[:-1]
+        batch.published_period[ids] = s.published_period
+        # agent ids become agent rows; the back catalog is all a run has at period 0
+        batch.alpha_author[ids] = np.where(s.alpha_author[:-1] >= 0, s.alpha_author[:-1] + r * n,
+                                           EXTERNAL_AUTHOR)
+        batch.authors[ids] = np.where(s.authors >= 0, s.authors + r * n, -1)
+        table = s.agent_papers
+        batch.agent_papers[r * n : (r + 1) * n, : table.shape[1]] = np.where(
+            table < s.published_period.size, table + ids.start, capacity
+        )
+    batch.published_period.flags.writeable = False
+    return batch
 
 
-def _allocate_runs(config: SimulationConfig) -> list[RunResult]:
-    """Every run's columns, zeroed, in one anonymous shared mapping.
+def _run_batch(config: SimulationConfig, columns: list[np.ndarray], rows: slice,
+               states: list[SimulationState]) -> None:
+    """Simulate the runs of ``states`` as one batch and write their rows into
+    ``column[rows]`` of each result column."""
+    if not states:
+        return
+    state = _stack(states, config)
+    h, h_alpha, paper_counts, teams = (column[rows] for column in columns)
+    shape = h.shape[0], config.n_agents
+    first_row = np.arange(0, state.n_agents, config.n_agents)[:, None, None]
+    h[:, 0], h_alpha[:, 0], paper_counts[:, 0] = (
+        a.reshape(shape) for a in (state.current_h, state.current_h_alpha, state.agent_paper_counts)
+    )
+    for t in range(1, config.periods + 1):
+        pm = step_period(state, config)
+        h[:, t], h_alpha[:, t], paper_counts[:, t] = (
+            a.reshape(shape) for a in (pm.h, pm.h_alpha, pm.paper_counts)
+        )
+        members = pm.teams.reshape(teams[:, t - 1].shape)
+        teams[:, t - 1] = np.where(members >= 0, members - first_row, -1)  # agent ids again
+
+
+def _run_block(config: SimulationConfig, columns: list[np.ndarray], first: int,
+               step: int) -> None:
+    """Simulate runs ``first``, ``first + step``, ... in batches, each run's
+    rows written into the result ``columns``.
+
+    Consecutive runs are stacked while the batch's paper table (agent rows x
+    allocated width) stays within ``_BATCH_CELLS`` cells. A run whose last
+    period cites at least ``_CHUNK`` papers is a batch of one, and it makes
+    its draws on a ``_DrawThread`` when the process has more than one usable
+    core; see ``run_experiment``.
+    """
+    batch, start = [], first
+    for run_index in range(first, config.runs, step):
+        batch.append(init_state(config, run_index))
+        alone = _last_cited(batch[-1], config) >= _CHUNK
+        width = max(s.agent_papers.shape[1] for s in batch)
+        if len(batch) > 1 and (alone or len(batch) * config.n_agents * width > _BATCH_CELLS):
+            _run_batch(config, columns, slice(start, run_index, step), batch[:-1])
+            batch, start = batch[-1:], run_index
+        if alone:
+            with _DrawThread(batch[0], config) if _usable_cores() > 1 else contextlib.nullcontext():
+                _run_batch(config, columns, slice(run_index, run_index + 1), batch)
+            batch, start = [], run_index + step
+    _run_batch(config, columns, slice(start, config.runs, step), batch)
+
+
+def _allocate_columns(config: SimulationConfig) -> list[np.ndarray]:
+    """Every run's result columns (see ``RunResult``), zeroed, in one anonymous
+    shared mapping, indexed by run first.
 
     A worker forked after this call writes its runs' rows into the pages the
     caller reads. A mapping the system cannot provide is a MemoryError.
@@ -735,23 +873,22 @@ def _allocate_runs(config: SimulationConfig) -> list[RunResult]:
     for shape in shapes:
         columns.append(np.frombuffer(mapping, np.int32, math.prod(shape), offset).reshape(shape))
         offset += columns[-1].nbytes
-    return [RunResult(i, *(column[i] for column in columns)) for i in range(config.runs)]
+    return columns
 
 
-# The runs of a forked pool worker: its caller's, set by the pool's initializer.
-_shared_runs: list[RunResult] = []
+# The result columns of a forked pool worker: its caller's, set by the pool's initializer.
+_shared_columns: list[np.ndarray] = []
 
 
-def _share_runs(runs: list[RunResult]) -> None:
-    global _shared_runs
-    _shared_runs = runs
+def _share_columns(columns: list[np.ndarray]) -> None:
+    global _shared_columns
+    _shared_columns = columns
 
 
-def _run_block(config: SimulationConfig, first: int, step: int) -> None:
-    """Runs ``first``, ``first + step``, ... of the shared runs, each written into
-    its columns; nothing is returned, so nothing is sent back to the caller."""
-    for run in _shared_runs[first::step]:
-        _run_one(config, run)
+def _run_shared_block(config: SimulationConfig, first: int, step: int) -> None:
+    """``_run_block`` on the shared columns; nothing is returned, so nothing is
+    sent back to the caller."""
+    _run_block(config, _shared_columns, first, step)
 
 
 # From Python 3.12 on, os.fork warns when the forking process has threads
@@ -797,40 +934,47 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     A worker that dies (killed by the system when out of memory, say) is a
     MemoryError.
 
-    A run, in this process or in a pool worker, makes its draws on a second
-    thread (``_DrawThread``: a one-worker executor, whose thread is named
-    ``halpha-draws_0``) when the process has more than one usable core and the
-    run's last period cites at least ``_CHUNK`` papers; smaller runs, and every
-    run on one core, draw inline, which is faster there. The thread draws about
+    A block, in this process or in a pool worker, simulates its runs in
+    batches (``_run_block``): consecutive runs stacked as one table while it
+    stays within ``_BATCH_CELLS`` cells, so a period of a batch is one set of
+    numpy calls, whatever the number of runs in it. Every row depends only on
+    its own run's papers and generator, so the batches change no number.
+
+    A run whose last period cites at least ``_CHUNK`` papers is a batch of
+    one, and it makes its draws on a second thread (``_DrawThread``: a
+    one-worker executor, whose thread is named ``halpha-draws_0``) when the
+    process has more than one usable core; smaller runs, and every run on one
+    core, draw inline, which is faster there. The thread draws about
     one period ahead of the index pass, which then runs while the next period's
     counts are drawn. Besides the generator it reads only two read-only arrays,
     and the draws and so the results are the same on either path; the executor
     is shut down and its thread joined before the run ends, also when it fails.
     """
     workers = min(config.runs, _usable_cores())
-    runs = _allocate_runs(config)
+    columns = _allocate_columns(config)
     if workers == 1 or not _can_fork():
-        for run in runs:
-            _run_one(config, run)
-        return runs
-    # Imported here: a serial call, and importing the package, need neither.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
+        _run_block(config, columns, 0, 1)
+    else:
+        # Imported here: a serial call, and importing the package, need neither.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing import get_context
 
-    # fork, set explicitly: a forked worker starts with numpy imported and this
-    # module loaded, where spawn and forkserver (3.14's default on Linux) would
-    # import them again in every call; and the initializer's runs, with the
-    # mapping under them, reach a forked worker as they are, unpickled.
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                               initializer=_share_runs, initargs=(runs,))
-    try:
-        for _ in pool.map(_run_block, [config] * workers, range(workers), [workers] * workers):
-            pass
-    except BrokenProcessPool as exc:
-        raise MemoryError(
-            "a worker process died, for example killed by the system when out of memory"
-        ) from exc
-    finally:
-        pool.shutdown(cancel_futures=True)  # a failed run cancels the block not yet started
-    return runs
+        # fork, set explicitly: a forked worker starts with numpy imported and
+        # this module loaded, where spawn and forkserver (3.14's default on
+        # Linux) would import them again in every call; and the initializer's
+        # columns, with the mapping under them, reach a forked worker as they
+        # are, unpickled.
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                   initializer=_share_columns, initargs=(columns,))
+        try:
+            for _ in pool.map(_run_shared_block, [config] * workers, range(workers),
+                              [workers] * workers):
+                pass
+        except BrokenProcessPool as exc:
+            raise MemoryError(
+                "a worker process died, for example killed by the system when out of memory"
+            ) from exc
+        finally:
+            pool.shutdown(cancel_futures=True)  # a failed run cancels the block not yet started
+    return [RunResult(i, *(column[i] for column in columns)) for i in range(config.runs)]

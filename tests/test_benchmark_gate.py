@@ -83,8 +83,9 @@ def test_tracer_finds_every_layer(tmp_path, monkeypatch):
         assert cli.main([*ARGV, "--out", str(tmp_path / "result.csv")]) == 0
     assert tracer.absent == set()
     summary = tracer.summary(1)
-    assert summary["engine.step_period.calls"] == 3 * 6
-    # init_state once and step_period once per period, update-alpha too, per run
-    assert summary["engine.recompute_indices.calls"] == 3 * (1 + 6)
+    # the 3 runs are one batch: step_period once per period for all of them
+    assert summary["engine.step_period.calls"] == 6
+    # init_state once per run, then once per period of the batch, update-alpha too
+    assert summary["engine.recompute_indices.calls"] == 3 + 6
     assert summary["engine.recompute_indices.cells"] > 0
     assert summary["engine.cite_papers.live_papers"] > 0

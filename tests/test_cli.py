@@ -454,6 +454,30 @@ def test_per_run_flag_writes_second_file(tmp_path):
     assert per_run.read_bytes().startswith(b"run,period,group,mean_h_alpha\n")
 
 
+def test_a_failed_write_leaves_the_earlier_outputs_as_they_were(tmp_path, capsys):
+    # the three files are replaced together: o_runs.csv cannot be, as it is a
+    # directory, so the earlier o.csv and its echo must still match each other
+    out = tmp_path / "o.csv"
+    assert main([*FAST, "--out", str(out)]) == 0
+    before = out.read_bytes(), config_echo_path(out).read_bytes()
+    per_run_path(out).mkdir()
+    capsys.readouterr()
+    assert main([*FAST, "--seed", "8", "--per-run", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {per_run_path(out)}: ")
+    assert "Traceback" not in err
+    assert (out.read_bytes(), config_echo_path(out).read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "o.csv.config", "o_runs.csv"]
+    assert list(per_run_path(out).iterdir()) == []
+
+
+def test_a_missing_output_directory_names_the_output_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.csv"
+    assert main([*FAST, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generated_seed_is_announced(tmp_path, capsys):
     out = tmp_path / "run.csv"
     assert main(["--agents", "20", "--runs", "1", "--periods", "2", "--out", str(out)]) == 0

@@ -940,6 +940,91 @@ def test_pool_tasks_send_nothing_back(monkeypatch, pool_sizes):
     assert np.array_equal(_flatten(results), _flatten(run_experiment(cfg)))
 
 
+# --- batches of runs ----------------------------------------------------------
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The table width of each run of every batch that _run_block stacks."""
+    widths, stack = [], engine._stack
+
+    def recording(states, config):
+        widths.append([s.agent_papers.shape[1] for s in states])
+        return stack(states, config)
+
+    monkeypatch.setattr(engine, "_stack", recording)
+    return widths
+
+
+# back catalogs of different sizes, so the runs of a batch have different table widths
+UNEVEN = dict(n_agents=30, periods=6, paper_kind=CountKind.NBINOMIAL, paper_mean=8.0,
+              paper_dispersion=0.5)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"strategic": True},
+    {"collab_share": 0.6, "diligence_correlation": 0.8},
+    {"dynamic_alpha": True, "self_citation": True, "boost_size": 0.5,
+     "citation_kind": CountKind.NBINOMIAL, "citation_dispersion": 2.0},
+], ids=["random", "strategic", "diligence", "update_alpha"])
+def test_a_run_in_a_batch_has_the_rows_it_has_alone(monkeypatch, batches, overrides):
+    cfg = make_config(runs=5, master_seed=77, **UNEVEN, **overrides)
+    _cores(monkeypatch, 1)
+    results = run_experiment(cfg)
+    assert [len(batch) for batch in batches] == [5]
+    alone = [init_state(cfg, i) for i in range(cfg.runs)]
+    assert len({s.n_papers for s in alone}) > 1
+    assert len({s.agent_papers.shape[1] for s in alone}) > 1
+    for run, state in zip(results, alone):
+        columns = (run.h, run.h_alpha, run.paper_counts)
+        assert all(np.array_equal(c[0], a) for c, a in zip(
+            columns, (state.current_h, state.current_h_alpha, state.agent_paper_counts)))
+        for t in range(1, cfg.periods + 1):
+            pm = step_period(state, cfg)
+            assert all(np.array_equal(c[t], a) for c, a in zip(
+                columns, (pm.h, pm.h_alpha, pm.paper_counts)))
+            assert np.array_equal(run.teams[t - 1], pm.teams)
+
+
+def test_the_batch_bound_sizes_batches_and_changes_no_number(monkeypatch, batches):
+    # a batch takes the next run while its table stays within _BATCH_CELLS
+    # cells (agent rows x widest table), and no further
+    cfg = make_config(runs=7, master_seed=78, strategic=True, **UNEVEN)
+    _cores(monkeypatch, 1)
+    reference = None
+    for bound in (1, 4 * cfg.n_agents * 40, engine._BATCH_CELLS):
+        monkeypatch.setattr(engine, "_BATCH_CELLS", bound)
+        batches.clear()
+        results = run_experiment(cfg)
+        if reference is None:
+            reference = results
+        assert np.array_equal(_flatten(results), _flatten(reference))
+        assert all(np.array_equal(a.teams, b.teams) for a, b in zip(results, reference))
+        assert sum(len(batch) for batch in batches) == cfg.runs
+        for batch, following in zip(batches, batches[1:] + [None]):
+            assert len(batch) == 1 or len(batch) * cfg.n_agents * max(batch) <= bound
+            if following is not None:
+                assert (len(batch) + 1) * cfg.n_agents * max(batch + following[:1]) > bound
+    assert len(batches) < cfg.runs  # the default bound stacks runs
+
+
+def test_the_batch_bound_counts_agent_rows_as_well_as_papers(monkeypatch, batches):
+    # no back catalog and hardly a publisher: few papers, but each run's table
+    # alone has more cells than the bound, so no two runs are stacked
+    cfg = make_config(runs=3, n_agents=engine._BATCH_CELLS // 4 + 1, periods=4,
+                      paper_mean=0.0, collab_share=0.001)
+    _cores(monkeypatch, 1)
+    run_experiment(cfg)
+    assert [len(batch) for batch in batches] == [1, 1, 1]
+
+
+def test_a_batch_of_one_is_the_state_of_its_run():
+    cfg = make_config(runs=1)
+    state = init_state(cfg, 0)
+    assert engine._stack([state], cfg) is state
+
+
 # --- the draw thread ----------------------------------------------------------
 
 
@@ -986,7 +1071,7 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
 
 
 def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
-    # the draw thread stood in state.rng and held the state: with the cycle
+    # the draw thread stood in state.rngs and held the state: with the cycle
     # broken on exit, the state dies with the run, with no collection
     states, real = [], engine.init_state
 
@@ -1203,6 +1288,24 @@ def test_pool_workers_draw_on_the_thread_by_the_same_rule(
     assert np.array_equal(_flatten(run_experiment(cfg)), inline)
     assert pool_sizes == [2]
     assert len(draw_threads) == threaded
+
+
+def test_a_run_that_reaches_the_draw_thread_rule_is_a_batch_of_one(
+    monkeypatch, batches, draw_threads
+):
+    # with no back catalog each run cites 21 papers in its last period
+    cfg = make_config(runs=3, periods=4, paper_mean=0.0, master_seed=62)
+    _cores(monkeypatch, 1)
+    inline = _flatten(run_experiment(cfg))
+    assert [len(batch) for batch in batches] == [3]
+    monkeypatch.setattr(engine, "_CHUNK", 21)
+    monkeypatch.setattr(engine, "_can_fork", lambda: False)  # the runs stay in this process
+    for cores, threads in ((1, 0), (2, 3)):
+        _cores(monkeypatch, cores)
+        batches.clear()
+        assert np.array_equal(_flatten(run_experiment(cfg)), inline)
+        assert [len(batch) for batch in batches] == [1, 1, 1]
+        assert len(draw_threads) == threads
 
 
 def test_pool_workers_draw_inline(monkeypatch, pool_sizes, draw_threads):

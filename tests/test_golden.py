@@ -64,11 +64,23 @@ CASES = {
     "threaded": [
         "--agents", "2000", "--periods", "10", "--runs", "1", "--seed", "111", "--per-run",
     ],
+    # 7 runs with back catalogs of uneven sizes: on one core one batch of 7
+    # stacked runs, on two blocks of 4 and 3, with the same bytes
+    "batched": [
+        "--scenario", "boost", "--strategic", "--update-alpha", "--self-citations",
+        "--papers-dist", "nbinomial", "--papers-dispersion", "0.5", "--agents", "40",
+        "--runs", "7", "--periods", "6", "--seed", "112", "--per-run",
+    ],
     "config_file": ["--per-run"],
 }
 
 # (aggregated CSV, per-run CSV, config echo without the out line)
 GOLDEN = {
+    "batched": (
+        "72bbc9fbc8195619b6ad320b6494fc69389fd37316ef758a33e05a7fea3f15b7",
+        "bcf1d21bdbdb6b69f25da783815d950467bd1b8f78dcdf65cb86e818e431d92f",
+        "acc9222ae66be840ae2cf0eb5968845e35c417fdcad557ffc73836101902b9da",
+    ),
     "baseline": (
         "41043417f1b6bb93c350df97da4bc4ecc7a4636cfa61822da3aa453d409771b6",
         "f721ccc65c44b80b7bc7d848fff6ff9b66361c3e0f10c9e186de7b29d0b5d24d",
