@@ -67,7 +67,7 @@ BOOST_SIZE_MAX = 2**10
 # a draw thread the layers can take a period's first chunks while it draws the rest.
 _CHUNK = 2**14
 # Cells (agent rows x allocated width) of the largest paper table a batch of
-# several stacked runs may have: the bound on what _run_block stacks.
+# several stacked runs may have: the bound on what init_state stacks.
 _BATCH_CELLS = 2**16
 
 
@@ -235,8 +235,8 @@ class RunResult:
 
 @dataclass
 class SimulationState:
-    """Array-backed state of a batch of runs: one run from ``init_state``,
-    several stacked by ``_stack``.
+    """Array-backed state of a batch of runs, one or several stacked, as
+    ``init_state`` builds it.
 
     Agent row ``r * n + i`` is agent i of the batch's run r (n agents per
     run). Paper ids ``r * S`` to ``(r + 1) * S - 1`` are run r's segment, S
@@ -335,91 +335,112 @@ def _cited_papers(published_period: np.ndarray, periods: int, teams: int, period
     return published_period.size - (periods + 1 - period) * teams
 
 
-def _last_cited(state: SimulationState, config: SimulationConfig) -> int:
-    """Papers a run cites in its last period: the count that decides whether
-    it makes its draws on a ``_DrawThread`` (see ``_run_block``)."""
-    return _cited_papers(state.published_period, config.periods, _teams_per_period(config),
-                         config.periods)
+def _last_cited(back: int, config: SimulationConfig) -> int:
+    """Papers a run with ``back`` back-catalog papers cites in its last period
+    (``_cited_papers``): the count that makes it a batch of one and decides
+    whether it makes its draws on a ``_DrawThread`` (see ``_run_block``)."""
+    return back + (config.periods - 1) * _teams_per_period(config)
 
 
-def init_state(config: SimulationConfig, run_index: int) -> SimulationState:
-    """Build the period-0 population for one run, a batch of one.
+def init_state(config: SimulationConfig, run_index: int, stop: int | None = None,
+               step: int = 1) -> SimulationState:
+    """Build the period-0 population of run ``run_index`` and of the runs
+    ``run_index + step, ...`` before ``stop`` that fit in its batch (see
+    ``SimulationState``); with no ``stop``, of run ``run_index`` alone.
 
     Each agent draws its back-catalog size from the paper distribution; each
     of those papers is solo-attributed, one to five periods old, credited to
     its agent with probability alpha_share (otherwise to an outside
     collaborator), and carries citations accumulated age by age through the
     same aging-curve draws used in live periods.
-    """
-    rng = run_rng(config.master_seed, run_index)
-    n = config.n_agents
 
-    max_age = config.periods + INITIAL_AGE_MAX
+    Every run first draws its paper counts, which fix its table width and
+    back catalog. The batch takes the next run while its paper table (agent
+    rows x widest table) stays within ``_BATCH_CELLS`` cells; a run whose last
+    period cites at least ``_CHUNK`` papers is a batch of one. Each run then
+    makes the rest of its draws from its own generator, in the order it
+    would alone, and one index pass raises every agent's h from 0.
+    """
+    n, periods, teams = config.n_agents, config.periods, _teams_per_period(config)
+    drawn, width = [], 0  # each run's generator, paper counts and their sum; the widest table
+    for i in range(run_index, run_index + 1 if stop is None else stop, step):
+        rng = run_rng(config.master_seed, i)
+        counts = draw_counts(
+            config.paper_kind, config.paper_mean, rng, config.paper_dispersion, size=n
+        ).astype(np.int64)
+        total = int(counts.sum())
+        alone = _last_cited(total, config) >= _CHUNK
+        widest = max(width, int(counts.max(initial=0)) + periods)
+        if drawn and (alone or (len(drawn) + 1) * n * widest > _BATCH_CELLS):
+            break  # the next call draws this run's counts again
+        drawn.append((rng, counts, total))
+        width = widest
+        if alone:
+            break
+
+    runs, back = len(drawn), max(total for _, _, total in drawn)
+    segment = back + periods * teams
+    capacity = runs * segment
+    if capacity >= COUNT_MAX:  # the sentinel's id must fit too
+        raise DataError(f"{capacity} papers exceed the table limit of {COUNT_MAX - 1}")
+
+    max_age = periods + INITIAL_AGE_MAX
     means = np.zeros(max_age + 1)
     curve = partial(expected_citations, peak=config.citation_peak,
                     max_mean=config.citation_mean, speed=config.citation_speed)
     means[1:] = [curve(a) for a in range(1, max_age + 1)]
 
-    paper_counts = draw_counts(
-        config.paper_kind, config.paper_mean, rng, config.paper_dispersion, size=n
-    ).astype(np.int64)
-    total_initial = int(paper_counts.sum())
-
-    owner = np.repeat(np.arange(n, dtype=np.int64), paper_counts)
-    ages = rng.integers(1, INITIAL_AGE_MAX + 1, size=total_initial)
-    is_own_alpha = rng.random(total_initial) < config.alpha_share
-
-    citations = np.zeros(total_initial, dtype=np.int64)
-    for a in range(1, INITIAL_AGE_MAX + 1):
-        old_enough = ages >= a
-        cnt = int(old_enough.sum())
-        if cnt:
-            citations[old_enough] += draw_counts(
-                config.citation_kind, means[a], rng, config.citation_dispersion, size=cnt
-            )
-
-    teams = _teams_per_period(config)
-    capacity = total_initial + config.periods * teams
-    if capacity >= COUNT_MAX:  # the sentinel's id must fit too
-        raise DataError(f"{capacity} papers exceed the table limit of {COUNT_MAX - 1}")
-    schedule = np.repeat(np.arange(1, config.periods + 1, dtype=np.int32), teams)
-
     state = SimulationState(
         period=0,
-        rngs=[rng],
-        n_agents=n,
-        n_papers=total_initial,
-        back_width=total_initial,
-        first_paper=np.zeros(1, dtype=np.int64),
+        rngs=[rng for rng, _, _ in drawn],
+        n_agents=runs * n,
+        n_papers=back,
+        back_width=back,
+        first_paper=np.array([back - total for _, _, total in drawn], dtype=np.int64),
         citations=np.zeros(capacity + 1, dtype=np.int32),
-        published_period=np.concatenate((-ages, schedule), dtype=np.int32),
+        published_period=np.zeros(capacity, dtype=np.int32),
         alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
         boost_anchor=np.zeros(capacity, dtype=np.int64),
         authors=np.full((capacity, _team_width(config)), -1, dtype=np.int32),
-        agent_papers=np.full(
-            (n, int(paper_counts.max(initial=0)) + config.periods), capacity, dtype=np.int64,
-            order="F",
-        ),
-        agent_paper_counts=paper_counts.copy(),
-        initial_h=np.zeros(n, dtype=np.int32),
-        current_h=np.zeros(n, dtype=np.int32),
-        current_h_alpha=np.zeros(n, dtype=np.int64),
+        agent_papers=np.full((runs * n, width), capacity, dtype=np.int64, order="F"),
+        agent_paper_counts=np.concatenate([counts for _, counts, _ in drawn]),
+        initial_h=np.zeros(runs * n, dtype=np.int32),
+        current_h=np.zeros(runs * n, dtype=np.int32),
+        current_h_alpha=np.zeros(runs * n, dtype=np.int64),
         citation_means=means,
     )
     state.citations[capacity] = -1
-    state.citations[:total_initial] = _checked_counts(citations)
-    state.alpha_author[:total_initial] = np.where(is_own_alpha, owner, EXTERNAL_AUTHOR)
-    state.authors[:total_initial, 0] = owner
+    state.segments(state.published_period)[:, back:] = np.repeat(
+        np.arange(1, periods + 1, dtype=np.int32), teams)
 
-    starts = np.concatenate(([0], np.cumsum(paper_counts)[:-1]))
-    slot = np.arange(total_initial) - np.repeat(starts, paper_counts)
-    state.agent_papers[owner, slot] = np.arange(total_initial)
+    for r, (rng, counts, total) in enumerate(drawn):
+        ages = rng.integers(1, INITIAL_AGE_MAX + 1, size=total)
+        is_own_alpha = rng.random(total) < config.alpha_share
+        citations = np.zeros(total, dtype=np.int64)
+        for a in range(1, INITIAL_AGE_MAX + 1):
+            old_enough = ages >= a
+            cnt = int(old_enough.sum())
+            if cnt:
+                citations[old_enough] += draw_counts(
+                    config.citation_kind, means[a], rng, config.citation_dispersion, size=cnt
+                )
+
+        # the run's back catalog fills the end of its segment's first back_width columns
+        papers = slice(r * segment + back - total, r * segment + back)
+        owner = np.repeat(np.arange(r * n, (r + 1) * n), counts)  # agent rows
+        state.citations[papers] = _checked_counts(citations)
+        state.published_period[papers] = -ages
+        state.alpha_author[papers] = np.where(is_own_alpha, owner, EXTERNAL_AUTHOR)
+        state.authors[papers, 0] = owner
+        slot = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        state.agent_papers[owner, slot] = np.arange(papers.start, papers.stop)
 
     _recompute_indices(state)
     state.initial_h = state.current_h.copy()
 
-    if config.diligence_correlation > 0:
-        state.diligence_z = rank_normal_scores(state.initial_h)
+    if config.diligence_correlation > 0:  # ranks within each run
+        state.diligence_z = np.concatenate(
+            [rank_normal_scores(h) for h in state.initial_h.reshape(runs, n)])
     state.published_period.flags.writeable = False  # both read by the draw thread
     state.citation_means.flags.writeable = False
     return state
@@ -511,9 +532,8 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     drawn run by run in ``_CHUNK``-paper chunks as in one draw, so the chunk
     size changes no number. Everything else is done over the whole batch.
     """
-    born = state.segments(state.published_period)
-    b = min(state.n_papers, _cited_papers(born[0], config.periods,
-                                          _teams_per_period(config), state.period))
+    born, teams = state.segments(state.published_period), _teams_per_period(config)
+    b = min(state.n_papers, _cited_papers(born[0], config.periods, teams, state.period))
     born = born[:, :b]
     gained = np.zeros(born.shape, dtype=np.int64)
     for rng, column, row, out in zip(state.rngs, state.first_paper, born, gained):
@@ -532,10 +552,10 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
         lead = _member_h(authors, state.current_h) - citations[..., None]
         gained[((lead == 1) | (lead == 2)).any(axis=-1)] += 1  # padding leads by -1 or less
 
-    if config.boost_size > 0:
-        first = np.nonzero(born == state.period - 1)
-        extra = np.floor(state.segments(state.boost_anchor)[:, :b][first] * config.boost_size + 0.5)
-        gained[first] += extra.astype(np.int64)
+    if config.boost_size > 0 and state.period > 1:  # the previous period's team papers
+        first = slice(state.back_width + (state.period - 2) * teams, b)
+        extra = np.floor(state.segments(state.boost_anchor)[:, first] * config.boost_size + 0.5)
+        gained[:, first] += extra.astype(np.int64)
 
     gained += citations
     citations[...] = _checked_counts(gained)
@@ -621,7 +641,8 @@ def _reassign_alpha_authors(state: SimulationState) -> None:
     back, used = state.back_width, state.n_papers
     authors, alpha = state.segments(state.authors), state.segments(state.alpha_author)
     alpha[:, :back] = authors[:, :back, 0]  # padding has no author: EXTERNAL_AUTHOR
-    teams = authors[:, back:used].astype(np.intp).reshape(-1, authors.shape[2])  # see SimulationState
+    # cast to intp: see SimulationState
+    teams = authors[:, back:used].astype(np.intp).reshape(-1, authors.shape[2])
     alpha[:, back:used] = _credited_authors(teams, state.current_h)[0].reshape(len(alpha), -1)
 
 
@@ -657,7 +678,8 @@ class _DrawThread:
     not when the cyclic garbage collector happens to run. It answers the five
     generator calls the layers and ``draw_counts`` make (``choice``,
     ``standard_normal``, ``permutation``, ``poisson`` and
-    ``negative_binomial``) with the result of the next draw it submitted. ``_draw`` lists those draws on the calling thread, in the
+    ``negative_binomial``) with the result of the next draw it submitted.
+    ``_draw`` lists those draws on the calling thread, in the
     order the layers ask for them, and the worker makes them from the run's
     generator in that order, so every number is the same: a team shuffle is
     ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
@@ -680,7 +702,7 @@ class _DrawThread:
         count, teams = _collaborator_count(config), _teams_per_period(config)
         self._state, self._rng, schedule = state, state.rngs[0], state.published_period
         self._draws = self._draw(config, self._rng, state.citation_means, schedule, count, teams)
-        self._ahead = 2 + -(-_last_cited(state, config) // _CHUNK)
+        self._ahead = 2 + -(-_last_cited(state.back_width, config) // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
         # here: importing the package, and a run that draws inline, need no thread pool
@@ -755,61 +777,10 @@ def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
     return counts.astype(np.min_scalar_type(counts.max()))
 
 
-def _stack(states: list[SimulationState], config: SimulationConfig) -> SimulationState:
-    """The period-0 states of several runs as one batch, in order (see
-    ``SimulationState``); the state of a single run as it is, with no copy."""
-    if len(states) == 1:
-        return states[0]
-    runs, n = len(states), config.n_agents
-    back = max(s.n_papers for s in states)  # at period 0, each run's back catalog
-    segment = back + config.periods * _teams_per_period(config)
-    capacity = runs * segment
-    width = max(s.agent_papers.shape[1] for s in states)
-    batch = SimulationState(
-        period=0,
-        rngs=[s.rngs[0] for s in states],
-        n_agents=runs * n,
-        n_papers=back,
-        back_width=back,
-        first_paper=np.array([back - s.n_papers for s in states], dtype=np.int64),
-        citations=np.zeros(capacity + 1, dtype=np.int32),
-        published_period=np.zeros(capacity, dtype=np.int32),
-        alpha_author=np.full(capacity + 1, EXTERNAL_AUTHOR, dtype=np.int32),
-        boost_anchor=np.zeros(capacity, dtype=np.int64),
-        authors=np.full((capacity, _team_width(config)), -1, dtype=np.int32),
-        agent_papers=np.full((runs * n, width), capacity, dtype=np.int64, order="F"),
-        agent_paper_counts=np.concatenate([s.agent_paper_counts for s in states]),
-        initial_h=np.concatenate([s.initial_h for s in states]),
-        current_h=np.concatenate([s.current_h for s in states]),
-        current_h_alpha=np.concatenate([s.current_h_alpha for s in states]),
-        citation_means=states[0].citation_means,
-        diligence_z=None if states[0].diligence_z is None
-        else np.concatenate([s.diligence_z for s in states]),
-    )
-    batch.citations[capacity] = -1
-    for r, s in enumerate(states):
-        ids = slice((r + 1) * segment - s.published_period.size, (r + 1) * segment)
-        batch.citations[ids] = s.citations[:-1]
-        batch.published_period[ids] = s.published_period
-        # agent ids become agent rows; the back catalog is all a run has at period 0
-        batch.alpha_author[ids] = np.where(s.alpha_author[:-1] >= 0, s.alpha_author[:-1] + r * n,
-                                           EXTERNAL_AUTHOR)
-        batch.authors[ids] = np.where(s.authors >= 0, s.authors + r * n, -1)
-        table = s.agent_papers
-        batch.agent_papers[r * n : (r + 1) * n, : table.shape[1]] = np.where(
-            table < s.published_period.size, table + ids.start, capacity
-        )
-    batch.published_period.flags.writeable = False
-    return batch
-
-
 def _run_batch(config: SimulationConfig, columns: list[np.ndarray], rows: slice,
-               states: list[SimulationState]) -> None:
-    """Simulate the runs of ``states`` as one batch and write their rows into
-    ``column[rows]`` of each result column."""
-    if not states:
-        return
-    state = _stack(states, config)
+               state: SimulationState) -> None:
+    """Simulate the runs of ``state`` and write their rows into ``column[rows]``
+    of each result column."""
     h, h_alpha, paper_counts, teams = (column[rows] for column in columns)
     shape = h.shape[0], config.n_agents
     first_row = np.arange(0, state.n_agents, config.n_agents)[:, None, None]
@@ -830,25 +801,22 @@ def _run_block(config: SimulationConfig, columns: list[np.ndarray], first: int,
     """Simulate runs ``first``, ``first + step``, ... in batches, each run's
     rows written into the result ``columns``.
 
-    Consecutive runs are stacked while the batch's paper table (agent rows x
-    allocated width) stays within ``_BATCH_CELLS`` cells. A run whose last
-    period cites at least ``_CHUNK`` papers is a batch of one, and it makes
-    its draws on a ``_DrawThread`` when the process has more than one usable
-    core; see ``run_experiment``.
+    ``init_state`` builds each batch: consecutive runs while its paper table
+    stays within ``_BATCH_CELLS`` cells, and a run whose last period cites at
+    least ``_CHUNK`` papers alone. Such a run makes its draws on a
+    ``_DrawThread`` when the process has more than one usable core; see
+    ``run_experiment``.
     """
-    batch, start = [], first
-    for run_index in range(first, config.runs, step):
-        batch.append(init_state(config, run_index))
-        alone = _last_cited(batch[-1], config) >= _CHUNK
-        width = max(s.agent_papers.shape[1] for s in batch)
-        if len(batch) > 1 and (alone or len(batch) * config.n_agents * width > _BATCH_CELLS):
-            _run_batch(config, columns, slice(start, run_index, step), batch[:-1])
-            batch, start = batch[-1:], run_index
-        if alone:
-            with _DrawThread(batch[0], config) if _usable_cores() > 1 else contextlib.nullcontext():
-                _run_batch(config, columns, slice(run_index, run_index + 1), batch)
-            batch, start = [], run_index + step
-    _run_batch(config, columns, slice(start, config.runs, step), batch)
+    run_index = first
+    while run_index < config.runs:
+        state = init_state(config, run_index, config.runs, step)
+        runs = len(state.rngs)
+        threaded = (runs == 1 and _last_cited(state.back_width, config) >= _CHUNK
+                    and _usable_cores() > 1)
+        with _DrawThread(state, config) if threaded else contextlib.nullcontext():
+            _run_batch(config, columns, slice(run_index, run_index + runs * step, step), state)
+        del state  # freed before the next batch is built
+        run_index += runs * step
 
 
 def _allocate_columns(config: SimulationConfig) -> list[np.ndarray]:
@@ -935,10 +903,11 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     MemoryError.
 
     A block, in this process or in a pool worker, simulates its runs in
-    batches (``_run_block``): consecutive runs stacked as one table while it
-    stays within ``_BATCH_CELLS`` cells, so a period of a batch is one set of
-    numpy calls, whatever the number of runs in it. Every row depends only on
-    its own run's papers and generator, so the batches change no number.
+    batches (``_run_block``): ``init_state`` builds consecutive runs as one
+    table while it stays within ``_BATCH_CELLS`` cells, so a period of a batch
+    is one set of numpy calls, whatever the number of runs in it. Every row
+    depends only on its own run's papers and generator, so the batches change
+    no number.
 
     A run whose last period cites at least ``_CHUNK`` papers is a batch of
     one, and it makes its draws on a second thread (``_DrawThread``: a

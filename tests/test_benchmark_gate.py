@@ -85,7 +85,7 @@ def test_tracer_finds_every_layer(tmp_path, monkeypatch):
     summary = tracer.summary(1)
     # the 3 runs are one batch: step_period once per period for all of them
     assert summary["engine.step_period.calls"] == 6
-    # init_state once per run, then once per period of the batch, update-alpha too
-    assert summary["engine.recompute_indices.calls"] == 3 + 6
+    # init_state once for the batch, then once per period of it, update-alpha too
+    assert summary["engine.recompute_indices.calls"] == 1 + 6
     assert summary["engine.recompute_indices.cells"] > 0
     assert summary["engine.cite_papers.live_papers"] > 0

@@ -252,7 +252,7 @@ def test_an_experiment_too_large_for_memory_is_an_error_line(
 ):
     # numpy's MemoryError from init_state: on one core in this process, and
     # over two runs in a forked worker, as the DataError above
-    def init_state(config, run_index):
+    def init_state(*args):
         raise MemoryError("Unable to allocate 763. MiB for an array with shape (100000000,)")
 
     monkeypatch.setattr(engine, "init_state", init_state)
@@ -273,7 +273,7 @@ def test_results_too_large_to_allocate_are_an_error_line_before_any_run(
     # every run's columns are allocated up front: 2**30 runs of 2**20 agents
     # need petabytes, refused at once on one core as on two
     started = []
-    monkeypatch.setattr(engine, "init_state", lambda config, i: started.append(i))
+    monkeypatch.setattr(engine, "init_state", lambda *args: started.append(args[1]))
     _cores(monkeypatch, cores)
     out = tmp_path / "x.csv"
     flags = ["--runs", "1073741824", "--agents", "1048576", "--periods", "1",
@@ -293,10 +293,10 @@ def test_a_killed_pool_worker_is_an_error_line(tmp_path, capsys, monkeypatch):
         pytest.skip("this process cannot fork a pool without os.fork's warning")
     parent, init_state = os.getpid(), engine.init_state
 
-    def dying(config, run_index):
-        if run_index == 1 and os.getpid() != parent:
+    def dying(*args):
+        if args[1] == 1 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return init_state(config, run_index)
+        return init_state(*args)
 
     monkeypatch.setattr(engine, "init_state", dying)
     _cores(monkeypatch, 2)

@@ -945,14 +945,17 @@ def test_pool_tasks_send_nothing_back(monkeypatch, pool_sizes):
 
 @pytest.fixture
 def batches(monkeypatch):
-    """The table width of each run of every batch that _run_block stacks."""
-    widths, stack = [], engine._stack
+    """The table width of each run of every batch that init_state builds, as
+    each run has it alone."""
+    widths, build = [], engine.init_state
 
-    def recording(states, config):
-        widths.append([s.agent_papers.shape[1] for s in states])
-        return stack(states, config)
+    def recording(config, run_index, stop=None, step=1):
+        state = build(config, run_index, stop, step)
+        runs = range(run_index, config.runs, step)[: len(state.rngs)]
+        widths.append([build(config, i).agent_papers.shape[1] for i in runs])
+        return state
 
-    monkeypatch.setattr(engine, "_stack", recording)
+    monkeypatch.setattr(engine, "init_state", recording)
     return widths
 
 
@@ -1019,10 +1022,38 @@ def test_the_batch_bound_counts_agent_rows_as_well_as_papers(monkeypatch, batche
     assert [len(batch) for batch in batches] == [1, 1, 1]
 
 
-def test_a_batch_of_one_is_the_state_of_its_run():
-    cfg = make_config(runs=1)
-    state = init_state(cfg, 0)
-    assert engine._stack([state], cfg) is state
+def test_a_batch_is_built_as_its_runs_are_alone():
+    # five runs of uneven back catalogs built as one batch: each run's rows and
+    # papers are those it has alone, behind padding up to the longest catalog
+    cfg = make_config(runs=5, master_seed=79, collab_share=0.6, diligence_correlation=0.8,
+                      **UNEVEN)
+    batch, n = init_state(cfg, 0, cfg.runs), cfg.n_agents
+    alone = [init_state(cfg, i) for i in range(cfg.runs)]
+    assert len(batch.rngs) == cfg.runs
+    assert len({s.n_papers for s in alone}) > 1
+    segment = batch.published_period.size // cfg.runs
+    for r, state in enumerate(alone):
+        rows = slice(r * n, (r + 1) * n)
+        for name in ("current_h", "current_h_alpha", "agent_paper_counts", "diligence_z"):
+            assert np.array_equal(getattr(batch, name)[rows], getattr(state, name))
+        for i in range(n):
+            own = state.agent_papers[i, : state.agent_paper_counts[i]]
+            ours = batch.agent_papers[r * n + i, : batch.agent_paper_counts[r * n + i]]
+            assert np.array_equal(batch.citations[ours], state.citations[own])
+            assert np.array_equal(batch.published_period[ours], state.published_period[own])
+            credited = batch.alpha_author[ours]
+            assert np.array_equal(np.where(credited >= 0, credited - r * n, credited),
+                                  state.alpha_author[own])
+        assert np.array_equal(batch.segments(batch.published_period)[r, batch.back_width :],
+                              state.published_period[state.n_papers :])
+        padding = np.arange(r * segment, r * segment + batch.first_paper[r])
+        assert padding.size == batch.back_width - state.n_papers
+        assert (batch.authors[padding] == -1).all()
+        assert (batch.alpha_author[padding] == EXTERNAL_AUTHOR).all()
+        assert (batch.citations[padding] == 0).all()
+        assert (batch.published_period[padding] == 0).all()
+        assert not np.isin(padding, batch.agent_papers).any()
+    assert (batch.first_paper > 0).any()
 
 
 # --- the draw thread ----------------------------------------------------------
@@ -1075,8 +1106,8 @@ def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
     # broken on exit, the state dies with the run, with no collection
     states, real = [], engine.init_state
 
-    def recording(config, run_index):
-        state = real(config, run_index)
+    def recording(*args):
+        state = real(*args)
         states.append(weakref.ref(state))
         return state
 
