@@ -106,13 +106,6 @@ _CONFIG_RULES = {
 }
 
 
-def _check_fields(obj, rules: dict) -> None:
-    """Check each field of ``obj`` against its rule in ``rules``, in order; a
-    ConfigurationError names the first field that fails."""
-    for name, rule in rules.items():
-        _check(name, getattr(obj, name), rule)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Every parameter of one experiment (shared by all of its runs). Construction
@@ -146,7 +139,8 @@ class SimulationConfig:
     dynamic_alpha: bool = False
 
     def __post_init__(self) -> None:
-        _check_fields(self, _CONFIG_RULES)
+        for name, rule in _CONFIG_RULES.items():
+            _check(name, getattr(self, name), rule)
         for kind, dispersion in (("paper_kind", "paper_dispersion"),
                                  ("citation_kind", "citation_dispersion")):
             if getattr(self, kind) is CountKind.NBINOMIAL:
@@ -274,7 +268,8 @@ class SimulationState:
     collaborator choice, the team shuffle and the citation counts from.
     ``_run_block`` may put a ``_DrawThread`` in the place of a lone run's
     generator, which draws the same numbers ahead of the layers, reading the
-    read-only ``published_period`` and ``citation_means``.
+    read-only ``published_period`` and ``citation_means`` but holding no
+    reference to the state.
     """
 
     period: int
@@ -290,11 +285,10 @@ class SimulationState:
     authors: np.ndarray
     agent_papers: np.ndarray
     agent_paper_counts: np.ndarray
-    initial_h: np.ndarray
     current_h: np.ndarray
     current_h_alpha: np.ndarray
     citation_means: np.ndarray  # expected citations indexed by age; read-only
-    diligence_z: np.ndarray | None = None
+    diligence_z: np.ndarray | None = None  # rank-normal scores of each run's initial h
 
     def segments(self, array: np.ndarray) -> np.ndarray:
         """A paper array without its sentinel, one row per run's segment."""
@@ -330,23 +324,19 @@ def _teams_per_period(config: SimulationConfig) -> int:
     return -(-_collaborator_count(config) // _team_width(config))  # form_teams' rows
 
 
-def _cited_papers(published_period: np.ndarray, periods: int, teams: int, period: int) -> int:
-    """Papers cited in ``period`` >= 1: the schedule's prefix before that period's teams."""
-    return published_period.size - (periods + 1 - period) * teams
+def _cited(back: int, teams: int, period: int) -> int:
+    """Papers cited in ``period`` >= 1 by a run of ``back`` back-catalog papers
+    and ``teams`` teams a period: the prefix of its schedule before that
+    period's teams. Its last period's count decides a batch of one and the
+    draw thread (see ``_run_block``)."""
+    return back + (period - 1) * teams
 
 
-def _last_cited(back: int, config: SimulationConfig) -> int:
-    """Papers a run with ``back`` back-catalog papers cites in its last period
-    (``_cited_papers``): the count that makes it a batch of one and decides
-    whether it makes its draws on a ``_DrawThread`` (see ``_run_block``)."""
-    return back + (config.periods - 1) * _teams_per_period(config)
-
-
-def init_state(config: SimulationConfig, run_index: int, stop: int | None = None,
-               step: int = 1) -> SimulationState:
-    """Build the period-0 population of run ``run_index`` and of the runs
-    ``run_index + step, ...`` before ``stop`` that fit in its batch (see
-    ``SimulationState``); with no ``stop``, of run ``run_index`` alone.
+def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
+               ) -> SimulationState:
+    """Build the period-0 population of run ``run_index`` and of the runs after
+    it, before ``stop``, that fit in its batch (see ``SimulationState``); with
+    no ``stop``, of run ``run_index`` alone.
 
     Each agent draws its back-catalog size from the paper distribution; each
     of those papers is solo-attributed, one to five periods old, credited to
@@ -359,17 +349,19 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
     rows x widest table) stays within ``_BATCH_CELLS`` cells; a run whose last
     period cites at least ``_CHUNK`` papers is a batch of one. Each run then
     makes the rest of its draws from its own generator, in the order it
-    would alone, and one index pass raises every agent's h from 0.
+    would alone, and one index pass raises every agent's h from 0 to its
+    initial h. Under a diligence correlation, ``diligence_z`` holds that h's
+    rank-normal scores within each run.
     """
     n, periods, teams = config.n_agents, config.periods, _teams_per_period(config)
     drawn, width = [], 0  # each run's generator, paper counts and their sum; the widest table
-    for i in range(run_index, run_index + 1 if stop is None else stop, step):
+    for i in range(run_index, run_index + 1 if stop is None else stop):
         rng = run_rng(config.master_seed, i)
         counts = draw_counts(
             config.paper_kind, config.paper_mean, rng, config.paper_dispersion, size=n
         ).astype(np.int64)
         total = int(counts.sum())
-        alone = _last_cited(total, config) >= _CHUNK
+        alone = _cited(total, teams, periods) >= _CHUNK
         widest = max(width, int(counts.max(initial=0)) + periods)
         if drawn and (alone or (len(drawn) + 1) * n * widest > _BATCH_CELLS):
             break  # the next call draws this run's counts again
@@ -404,7 +396,6 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
         authors=np.full((capacity, _team_width(config)), -1, dtype=np.int32),
         agent_papers=np.full((runs * n, width), capacity, dtype=np.int64, order="F"),
         agent_paper_counts=np.concatenate([counts for _, counts, _ in drawn]),
-        initial_h=np.zeros(runs * n, dtype=np.int32),
         current_h=np.zeros(runs * n, dtype=np.int32),
         current_h_alpha=np.zeros(runs * n, dtype=np.int64),
         citation_means=means,
@@ -436,11 +427,9 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
         state.agent_papers[owner, slot] = np.arange(papers.start, papers.stop)
 
     _recompute_indices(state)
-    state.initial_h = state.current_h.copy()
-
-    if config.diligence_correlation > 0:  # ranks within each run
+    if config.diligence_correlation > 0:  # ranks of the initial h within each run
         state.diligence_z = np.concatenate(
-            [rank_normal_scores(h) for h in state.initial_h.reshape(runs, n)])
+            [rank_normal_scores(h) for h in state.current_h.reshape(runs, n)])
     state.published_period.flags.writeable = False  # both read by the draw thread
     state.citation_means.flags.writeable = False
     return state
@@ -528,12 +517,12 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     round(boost_anchor * boost_size) additional citations once, in its first
     citation period; papers from before the simulation never see it.
 
-    The live papers, a prefix of each run's schedule (``_cited_papers``), are
+    The live papers, a prefix of each run's schedule (``_cited``), are
     drawn run by run in ``_CHUNK``-paper chunks as in one draw, so the chunk
     size changes no number. Everything else is done over the whole batch.
     """
     born, teams = state.segments(state.published_period), _teams_per_period(config)
-    b = min(state.n_papers, _cited_papers(born[0], config.periods, teams, state.period))
+    b = min(state.n_papers, _cited(state.back_width, teams, state.period))
     born = born[:, :b]
     gained = np.zeros(born.shape, dtype=np.int64)
     for rng, column, row, out in zip(state.rngs, state.first_paper, born, gained):
@@ -670,12 +659,14 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
 class _DrawThread:
     """A run's draws, made on a second thread about one period ahead of the layers.
 
-    Built right after ``init_state``. Entered around the periods of the run, a
-    batch of one, it starts a one-worker executor and puts itself in
-    ``state.rngs``; on exit it shuts that down, which cancels the draws not yet
-    started and joins the thread, and puts the run's generator back. It then
-    holds no reference to the state, so the state is freed when the run ends,
-    not when the cyclic garbage collector happens to run. It answers the five
+    Built right after ``init_state``, from what the draws of a batch of one
+    read: the run's generator, ``back_width`` and the read-only
+    ``published_period`` and ``citation_means``. It keeps no reference to the
+    state, so ``_run_block`` can put it in ``state.rngs`` in the generator's
+    place and the state is still freed when the run ends, not when the cyclic
+    garbage collector happens to run. Entered around the periods of the run,
+    it starts a one-worker executor; on exit it shuts that down, which cancels
+    the draws not yet started and joins the thread. It answers the five
     generator calls the layers and ``draw_counts`` make (``choice``,
     ``standard_normal``, ``permutation``, ``poisson`` and
     ``negative_binomial``) with the result of the next draw it submitted.
@@ -684,10 +675,10 @@ class _DrawThread:
     generator in that order, so every number is the same: a team shuffle is
     ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
     for 1-D ``ids``, and the citation counts come in the chunks of ``_CHUNK``
-    live papers that ``cite_papers`` asks for, the prefix ``_cited_papers``
-    gives. Each chunk's ages come from ``state.published_period``, as
-    ``cite_papers`` works them out. That schedule and ``citation_means`` are
-    read-only, and a draw reads no other array. An exception in a draw is
+    live papers that ``cite_papers`` asks for, the prefix ``_cited`` gives.
+    Each chunk's ages come from the schedule, as ``cite_papers`` works them
+    out. The schedule and ``citation_means`` are read-only, and a draw reads
+    no other array. An exception in a draw is
     raised again in the layer that takes it, and a draw of another kind or size
     than the layer asks for is a RuntimeError. About one period's draws are
     submitted at the start and one more at each take, which bounds how far
@@ -700,9 +691,10 @@ class _DrawThread:
 
     def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
         count, teams = _collaborator_count(config), _teams_per_period(config)
-        self._state, self._rng, schedule = state, state.rngs[0], state.published_period
-        self._draws = self._draw(config, self._rng, state.citation_means, schedule, count, teams)
-        self._ahead = 2 + -(-_last_cited(state.back_width, config) // _CHUNK)
+        back = state.back_width
+        self._draws = self._draw(config, state.rngs[0], state.citation_means,
+                                 state.published_period, back, count, teams)
+        self._ahead = 2 + -(-_cited(back, teams, config.periods) // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
         # here: importing the package, and a run that draws inline, need no thread pool
@@ -711,16 +703,14 @@ class _DrawThread:
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
         submit = self._pool.submit
         self._submitted = ((kind, size, submit(draw)) for kind, size, draw in self._draws)
-        self._state.rngs[0] = self
         self._pending = deque(islice(self._submitted, self._ahead))
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
-        self._state.rngs[0], self._state = self._rng, None
 
     @staticmethod
-    def _draw(config, rng, citation_means, schedule, count, teams):
+    def _draw(config, rng, citation_means, schedule, back, count, teams):
         """Every draw of periods 1..periods, in the order the layers take them,
         as (kind, size, draw): ``draw()`` makes it from the generator."""
         n = config.n_agents
@@ -732,7 +722,7 @@ class _DrawThread:
                 else:
                     yield "noise", n, partial(rng.standard_normal, n)
             yield "shuffled", shuffled, partial(rng.permutation, shuffled)
-            cited = schedule[: _cited_papers(schedule, config.periods, teams, period)]
+            cited = schedule[: _cited(back, teams, period)]
             for start in range(0, cited.size, _CHUNK):
                 chunk = cited[start : start + _CHUNK]
                 yield "citations", chunk.size, partial(
@@ -777,46 +767,40 @@ def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
     return counts.astype(np.min_scalar_type(counts.max()))
 
 
-def _run_batch(config: SimulationConfig, columns: list[np.ndarray], rows: slice,
-               state: SimulationState) -> None:
-    """Simulate the runs of ``state`` and write their rows into ``column[rows]``
-    of each result column."""
-    h, h_alpha, paper_counts, teams = (column[rows] for column in columns)
-    shape = h.shape[0], config.n_agents
-    first_row = np.arange(0, state.n_agents, config.n_agents)[:, None, None]
-    h[:, 0], h_alpha[:, 0], paper_counts[:, 0] = (
-        a.reshape(shape) for a in (state.current_h, state.current_h_alpha, state.agent_paper_counts)
-    )
-    for t in range(1, config.periods + 1):
-        pm = step_period(state, config)
-        h[:, t], h_alpha[:, t], paper_counts[:, t] = (
-            a.reshape(shape) for a in (pm.h, pm.h_alpha, pm.paper_counts)
-        )
-        members = pm.teams.reshape(teams[:, t - 1].shape)
-        teams[:, t - 1] = np.where(members >= 0, members - first_row, -1)  # agent ids again
-
-
 def _run_block(config: SimulationConfig, columns: list[np.ndarray], first: int,
-               step: int) -> None:
-    """Simulate runs ``first``, ``first + step``, ... in batches, each run's
-    rows written into the result ``columns``.
+               stop: int) -> None:
+    """Simulate runs ``first`` to ``stop - 1`` in batches, each run's rows
+    written into the result ``columns``.
 
     ``init_state`` builds each batch: consecutive runs while its paper table
     stays within ``_BATCH_CELLS`` cells, and a run whose last period cites at
     least ``_CHUNK`` papers alone. Such a run makes its draws on a
-    ``_DrawThread`` when the process has more than one usable core; see
-    ``run_experiment``.
+    ``_DrawThread`` when the process has more than one usable core (see
+    ``run_experiment``), which stands in for its generator in ``state.rngs``
+    for the periods of the run.
     """
-    run_index = first
-    while run_index < config.runs:
-        state = init_state(config, run_index, config.runs, step)
+    n = config.n_agents
+    while first < stop:
+        state = init_state(config, first, stop)
         runs = len(state.rngs)
-        threaded = (runs == 1 and _last_cited(state.back_width, config) >= _CHUNK
-                    and _usable_cores() > 1)
-        with _DrawThread(state, config) if threaded else contextlib.nullcontext():
-            _run_batch(config, columns, slice(run_index, run_index + runs * step, step), state)
+        h, h_alpha, paper_counts, teams = (column[first : first + runs] for column in columns)
+        first_row = np.arange(0, runs * n, n)[:, None, None]
+        h[:, 0], h_alpha[:, 0], paper_counts[:, 0] = (a.reshape(runs, n) for a in (
+            state.current_h, state.current_h_alpha, state.agent_paper_counts))
+        last = _cited(state.back_width, _teams_per_period(config), config.periods)
+        threaded = runs == 1 and last >= _CHUNK and _usable_cores() > 1
+        with (_DrawThread(state, config) if threaded
+              else contextlib.nullcontext(state.rngs[0])) as draws:
+            state.rngs[0] = draws
+            for t in range(1, config.periods + 1):
+                pm = step_period(state, config)
+                h[:, t], h_alpha[:, t], paper_counts[:, t] = (
+                    a.reshape(runs, n) for a in (pm.h, pm.h_alpha, pm.paper_counts)
+                )
+                members = pm.teams.reshape(teams[:, t - 1].shape)
+                teams[:, t - 1] = np.where(members >= 0, members - first_row, -1)  # agent ids
         del state  # freed before the next batch is built
-        run_index += runs * step
+        first += runs
 
 
 def _allocate_columns(config: SimulationConfig) -> list[np.ndarray]:
@@ -853,10 +837,10 @@ def _share_columns(columns: list[np.ndarray]) -> None:
     _shared_columns = columns
 
 
-def _run_shared_block(config: SimulationConfig, first: int, step: int) -> None:
+def _run_shared_block(config: SimulationConfig, first: int, stop: int) -> None:
     """``_run_block`` on the shared columns; nothing is returned, so nothing is
     sent back to the caller."""
-    _run_block(config, _shared_columns, first, step)
+    _run_block(config, _shared_columns, first, stop)
 
 
 # From Python 3.12 on, os.fork warns when the forking process has threads
@@ -893,7 +877,8 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     seeded from (master_seed, run_index), so the result is identical for any
     number of workers. The runs go to ``workers = min(runs, cores)`` worker
     processes, cores being those of this process's CPU affinity, forked from
-    this one: worker w runs ``range(w, runs, workers)``, writes their rows
+    this one: worker w runs the contiguous block
+    ``range(w * runs // workers, (w + 1) * runs // workers)``, writes their rows
     straight into the mapping and sends nothing back. They run in this process
     instead when that count is 1, when the OS cannot fork, and on Python 3.12
     or later when this process has more than one thread (os.fork would warn).
@@ -911,8 +896,9 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
 
     A run whose last period cites at least ``_CHUNK`` papers is a batch of
     one, and it makes its draws on a second thread (``_DrawThread``: a
-    one-worker executor, whose thread is named ``halpha-draws_0``) when the
-    process has more than one usable core; smaller runs, and every run on one
+    one-worker executor, whose thread is named ``halpha-draws_0``, installed by
+    ``_run_block`` in the place of the run's generator) when the process has
+    more than one usable core; smaller runs, and every run on one
     core, draw inline, which is faster there. The thread draws about
     one period ahead of the index pass, which then runs while the next period's
     counts are drawn. Besides the generator it reads only two read-only arrays,
@@ -922,7 +908,7 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     workers = min(config.runs, _usable_cores())
     columns = _allocate_columns(config)
     if workers == 1 or not _can_fork():
-        _run_block(config, columns, 0, 1)
+        _run_block(config, columns, 0, config.runs)
     else:
         # Imported here: a serial call, and importing the package, need neither.
         from concurrent.futures import ProcessPoolExecutor
@@ -937,8 +923,8 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                    initializer=_share_columns, initargs=(columns,))
         try:
-            for _ in pool.map(_run_shared_block, [config] * workers, range(workers),
-                              [workers] * workers):
+            bounds = [w * config.runs // workers for w in range(workers + 1)]
+            for _ in pool.map(_run_shared_block, [config] * workers, bounds[:-1], bounds[1:]):
                 pass
         except BrokenProcessPool as exc:
             raise MemoryError(

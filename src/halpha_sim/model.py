@@ -6,6 +6,7 @@ the reference definitions that the array-based engine is checked against.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 # Alpha-author id used for pre-simulation papers whose credited author is a
@@ -51,3 +52,16 @@ def determine_alpha_author(author_ids: Sequence[int], current_h: Mapping[int, in
     if not author_ids:
         raise ValueError("a paper must have at least one author")
     return min(author_ids, key=lambda a: (-current_h[a], a))
+
+
+def self_citation(author_h: Iterable[int], citations: int) -> int:
+    """The self-citation a paper gains this period: 1 when some author's
+    current h exceeds its start-of-period citations by 1 or 2, else 0."""
+    return int(any(h - citations in (1, 2) for h in author_h))
+
+
+def boost(anchor: int, size: float) -> int:
+    """The citations a paper gains once, in its first citation period:
+    ``anchor * size`` rounded half up, ``anchor`` being the highest author h
+    when it was published."""
+    return math.floor(anchor * size + 0.5)

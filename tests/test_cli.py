@@ -293,8 +293,8 @@ def test_a_killed_pool_worker_is_an_error_line(tmp_path, capsys, monkeypatch):
         pytest.skip("this process cannot fork a pool without os.fork's warning")
     parent, init_state = os.getpid(), engine.init_state
 
-    def dying(*args):
-        if args[1] == 1 and os.getpid() != parent:
+    def dying(*args):  # the worker whose block is runs 2 and 3
+        if args[1] == 2 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return init_state(*args)
 

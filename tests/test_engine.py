@@ -198,7 +198,7 @@ def test_init_baseline_has_200_agents():
     cfg = scenario_config("baseline", master_seed=3)
     state = init_state(cfg, 0)
     assert state.n_agents == 200
-    assert state.initial_h.shape == state.agent_paper_counts.shape == (200,)
+    assert state.current_h.shape == state.agent_paper_counts.shape == (200,)
 
 
 def test_init_mean_initial_papers_near_ten():
@@ -225,12 +225,14 @@ def test_init_paper_ages_one_to_five():
 
 
 def test_initial_h_frozen_during_run():
-    cfg = make_config(runs=1)
+    # the one reader of the initial h in a run: diligence's scores, ranked once
+    cfg = scenario_config("diligence", master_seed=13, periods=6)
     state = init_state(cfg, 0)
-    frozen = state.initial_h.copy()
+    frozen = state.diligence_z.copy()
+    assert np.array_equal(frozen, rank_normal_scores(state.current_h))
     for _ in range(cfg.periods):
         step_period(state, cfg)
-    assert np.array_equal(state.initial_h, frozen)
+        assert np.array_equal(state.diligence_z, frozen)
 
 
 # --- collaborator selection --------------------------------------------------
@@ -278,23 +280,25 @@ def test_diligence_latent_score_correlation_band():
     cfg = scenario_config("diligence", master_seed=11)
     state = init_state(cfg, 0)
     rho = cfg.diligence_correlation
-    z = rank_normal_scores(state.initial_h)
+    initial_h = state.current_h  # at period 0
+    z = rank_normal_scores(initial_h)
     rng = np.random.default_rng(123)
     corrs = []
     for _ in range(200):
         scores = rho * z + math.sqrt(1 - rho * rho) * rng.standard_normal(cfg.n_agents)
-        corrs.append(spearmanr(scores, state.initial_h).statistic)
+        corrs.append(spearmanr(scores, initial_h).statistic)
     assert 0.65 <= float(np.mean(corrs)) <= 0.95
 
 
 def test_diligence_selection_favors_high_initial_h():
     cfg = scenario_config("diligence", master_seed=11)
     state = init_state(cfg, 0)
+    initial_h = state.current_h  # at period 0
     freq = np.zeros(cfg.n_agents)
     for _ in range(200):
         freq[select_collaborators(state, cfg)] += 1
-    hi = state.initial_h >= np.percentile(state.initial_h, 75)
-    lo = state.initial_h <= np.percentile(state.initial_h, 25)
+    hi = initial_h >= np.percentile(initial_h, 75)
+    lo = initial_h <= np.percentile(initial_h, 25)
     assert freq[hi].mean() > 2 * freq[lo].mean()
 
 
@@ -531,7 +535,7 @@ def test_the_schedule_holds_the_period_each_paper_is_published_in(overrides):
         step_period(state, cfg)
         assert (schedule[first : state.n_papers] == period).all()
         # so the papers cited next period, those published before it, lead the schedule
-        cited = engine._cited_papers(schedule, cfg.periods, teams, period + 1)
+        cited = engine._cited(back, teams, period + 1)
         assert cited == np.count_nonzero(schedule[: state.n_papers] < period + 1)
     assert state.n_papers == schedule.size  # every scheduled paper was published
     # the draw thread reads both while the layers run: no one may write them
@@ -916,7 +920,7 @@ def test_period_rows_are_views_of_the_int32_columns(monkeypatch):
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_uneven_blocks_of_runs_give_the_serial_results(monkeypatch, cores):
-    # 7 runs: blocks of 4 and 3, or of 3, 2 and 2, each written by its worker
+    # 7 runs: blocks of 3 and 4, or of 2, 2 and 3, each written by its worker
     cfg = make_config(runs=7, master_seed=303, strategic=True)
     _cores(monkeypatch, 1)
     serial = run_experiment(cfg)
@@ -949,9 +953,9 @@ def batches(monkeypatch):
     each run has it alone."""
     widths, build = [], engine.init_state
 
-    def recording(config, run_index, stop=None, step=1):
-        state = build(config, run_index, stop, step)
-        runs = range(run_index, config.runs, step)[: len(state.rngs)]
+    def recording(config, run_index, stop=None):
+        state = build(config, run_index, stop)
+        runs = range(run_index, run_index + len(state.rngs))
         widths.append([build(config, i).agent_papers.shape[1] for i in runs])
         return state
 
@@ -1056,6 +1060,53 @@ def test_a_batch_is_built_as_its_runs_are_alone():
     assert (batch.first_paper > 0).any()
 
 
+def test_a_batch_gains_the_self_citations_and_boost_of_the_model(monkeypatch):
+    # every draw zero, so a period's gain is the model's self-citation plus its
+    # boost, paper by paper, over a padded batch with a short team (17
+    # publishers in teams of 3); leads of 0 to 5 are forced where they fit
+    cfg = make_config(runs=5, master_seed=80, self_citation=True, boost_size=0.7,
+                      collab_share=0.55, **UNEVEN)
+    state = init_state(cfg, 0, cfg.runs)
+    assert len(state.rngs) == cfg.runs and (state.first_paper > 0).any()
+    for _ in range(2):
+        step_period(state, cfg)
+    monkeypatch.setattr(engine, "draw_counts", lambda kind, means, *args, **kwargs: np.zeros(
+        np.size(means), dtype=np.int64))
+    state.period += 1  # period 3, as step_period does up to cite_papers
+    publish(form_teams(select_collaborators(state, cfg), cfg, state), state, cfg)
+
+    teams, segment = engine._teams_per_period(cfg), state.published_period.size // cfg.runs
+    cited = engine._cited(state.back_width, teams, state.period)
+    h, forced = state.current_h.tolist(), set()
+    for r in range(cfg.runs):
+        for pid in range(r * segment + state.first_paper[r], r * segment + cited):
+            lead, top = pid % 6, max(h[a] for a in _members(state.authors[pid]))
+            if top >= lead:
+                state.citations[pid] = top - lead
+                forced.add((lead, pid % segment < state.back_width))
+    assert forced == {(lead, back) for lead in range(6) for back in (True, False)}
+    before = state.citations.copy()
+    cite_papers(state, cfg)
+
+    gains, padding = [], 0
+    for pid in range(state.published_period.size):
+        gain = int(state.citations[pid]) - int(before[pid])
+        members = _members(state.authors[pid])
+        if pid % segment >= cited:  # this period's papers are cited from the next
+            assert gain == 0
+            continue
+        padding += not members
+        expected = model.self_citation([h[a] for a in members], int(before[pid]))
+        if state.published_period[pid] == state.period - 1:
+            expected += model.boost(int(state.boost_anchor[pid]), cfg.boost_size)
+        assert gain == expected, pid
+        gains.append(gain)
+    assert state.citations[-1] == -1  # the sentinel
+    assert padding > 0
+    assert 1 in gains and max(gains) > 1  # self-citations and boosts both paid
+    assert (state.segments(state.authors)[:, state.back_width :, -1] == -1).any()  # a short team
+
+
 # --- the draw thread ----------------------------------------------------------
 
 
@@ -1102,8 +1153,8 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
 
 
 def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
-    # the draw thread stood in state.rngs and held the state: with the cycle
-    # broken on exit, the state dies with the run, with no collection
+    # the draw thread stands in state.rngs but holds no reference to the
+    # state: no cycle forms, and the state dies with the run, with no collection
     states, real = [], engine.init_state
 
     def recording(*args):
@@ -1249,7 +1300,8 @@ def test_the_chunk_size_does_not_change_a_run(monkeypatch, draw_threads, cfg):
 
 @pytest.mark.parametrize("helper, due", [
     ("_collaborator_count", "collaborators"),  # the thread draws one collaborator too many
-    ("_teams_per_period", "citations"),  # it cites `periods` papers too few in period 1
+    # period 1 cites the back catalog alone; in period 2 the thread cites one paper too many
+    ("_teams_per_period", "citations"),
 ])
 def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper, due):
     cfg = make_config(runs=1, periods=3, collab_share=0.5)
@@ -1260,6 +1312,7 @@ def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper
     monkeypatch.undo()
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"sent {due} of size .* was due"), draws:
+        state.rngs[0] = draws
         for _ in range(cfg.periods):
             step_period(state, cfg)
     assert threading.active_count() == before
@@ -1268,8 +1321,7 @@ def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper
 def _last_cited(cfg) -> int:
     """The papers cited in the last period of run 0 of ``cfg``."""
     state = init_state(cfg, 0)
-    return engine._cited_papers(state.published_period, cfg.periods,
-                                engine._teams_per_period(cfg), cfg.periods)
+    return engine._cited(state.back_width, engine._teams_per_period(cfg), cfg.periods)
 
 
 @pytest.mark.parametrize(("cores", "offset", "threaded"), [

@@ -10,6 +10,7 @@ keeps the behaviour must leave all of them as they are.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from halpha_sim.cli import config_echo_path, main, per_run_path
@@ -65,7 +66,7 @@ CASES = {
         "--agents", "2000", "--periods", "10", "--runs", "1", "--seed", "111", "--per-run",
     ],
     # 7 runs with back catalogs of uneven sizes: on one core one batch of 7
-    # stacked runs, on two blocks of 4 and 3, with the same bytes
+    # stacked runs, on two blocks of 3 and 4, with the same bytes
     "batched": [
         "--scenario", "boost", "--strategic", "--update-alpha", "--self-citations",
         "--papers-dist", "nbinomial", "--papers-dispersion", "0.5", "--agents", "40",
@@ -73,6 +74,11 @@ CASES = {
     ],
     "config_file": ["--per-run"],
 }
+
+# The numpy the hashes were recorded with. numpy keeps a Generator's stream
+# fixed only within a release (NEP 19), so under another numpy a hash may
+# change with no change to this code: a failure names both versions.
+RECORDED_WITH_NUMPY = "2.4.6"
 
 # (aggregated CSV, per-run CSV, config echo without the out line)
 GOLDEN = {
@@ -157,4 +163,6 @@ def _digests(tmp_path, name: str) -> tuple[str, str, str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(tmp_path, capsys, name):
-    assert _digests(tmp_path, name) == GOLDEN[name]
+    assert _digests(tmp_path, name) == GOLDEN[name], (
+        f"hashes recorded with numpy {RECORDED_WITH_NUMPY}, run with numpy {np.__version__}"
+    )
