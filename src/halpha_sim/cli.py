@@ -1,10 +1,11 @@
 """Command-line front end: scenario presets, flags, and result files.
 
-Every parameter is declared once, as a row of ``PARAMETERS``; its flag, its
-JSON config key, its line in the config echo and its SimulationConfig field
-all come from that row, and SimulationConfig checks its type and range.
-Resolution order for every parameter: scenario preset defaults, then values
-from an optional JSON config file, then command-line flags. The fully
+Every parameter is declared once, as a field of ``SimulationConfig``, with
+its default, its rule and its help line; its flag, its JSON config key and
+its line in the config echo are all the field's external name, and
+``PARAMETERS`` is derived from those fields. Resolution order for every
+parameter: the field's default, then the scenario preset's values, then
+values from an optional JSON config file, then command-line flags. The fully
 resolved configuration is echoed next to the results so any run can be
 reproduced exactly.
 """
@@ -12,6 +13,7 @@ reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -32,12 +34,15 @@ INT = {"type": int}
 FLOAT = {"type": float}  # the rules reject nan and the infinities
 DIST = {"choices": _DISTS}
 SWITCH = {"action": "store_true", "default": None}
+# The flag kind of each SimulationConfig field type.
+_KIND_OF_TYPE = {"int": INT, "float": FLOAT, "float | None": FLOAT, "CountKind": DIST,
+                 "bool": SWITCH}
 
 
 @dataclass(frozen=True)
 class Param:
-    """One simulation parameter: its flag, JSON key and echo line are all ``name``
-    (with dashes in the flag); ``field`` is the SimulationConfig field that keeps it."""
+    """One simulation parameter as the CLI sees its SimulationConfig ``field``:
+    its flag, JSON key and echo line are all ``name`` (with dashes in the flag)."""
 
     name: str
     flag: dict  # argparse keyword arguments
@@ -46,45 +51,18 @@ class Param:
     help: str
 
 
-PARAMETERS = (
-    Param("runs", INT, 50, "runs", "number of independent runs to average over"),
-    Param("agents", INT, 200, "n_agents", "number of simulated agents"),
-    Param("periods", INT, 20, "periods", "number of collaboration periods"),
-    Param("coauthors", INT, 3, "coauthors_mean",
-          "team size (last team per period may be smaller)"),
-    Param("papers_dist", DIST, "poisson", "paper_kind", "distribution of initial paper counts"),
-    Param("papers_mean", FLOAT, 10.0, "paper_mean",
-          "mean of the initial paper count distribution"),
-    Param("papers_dispersion", FLOAT, None, "paper_dispersion",
-          "dispersion of the initial paper count distribution (nbinomial only)"),
-    Param("citations_dist", DIST, "poisson", "citation_kind",
-          "distribution of per-period citation counts"),
-    Param("citations_mean", FLOAT, 5.0, "citation_mean",
-          "maximum expected citations per period"),
-    Param("citations_peak", FLOAT, 3.0, "citation_peak",
-          "paper age (in periods) at which expected citations peak"),
-    Param("citations_speed", FLOAT, 2.0, "citation_speed",
-          "steepness of the citation aging curve (must exceed 1)"),
-    Param("citations_dispersion", FLOAT, None, "citation_dispersion",
-          "dispersion of the citation count distribution (nbinomial only)"),
-    Param("alpha_share", FLOAT, 0.33, "alpha_share",
-          "share of initial papers credited to their own agent"),
-    Param("boost_size", FLOAT, 0.0, "boost_size",
-          "one-time extra citations = round(max author h at publication * size); 0 disables"),
-    Param("diligence_corr", FLOAT, 0.0, "diligence_correlation",
-          "correlation between publishing propensity and initial h"),
-    Param("diligence_share", FLOAT, 1.0, "collab_share",
-          "share of agents who publish each period"),
-    Param("strategic", SWITCH, False, "strategic", "seed every team with a single top-h agent"),
-    Param("self_citations", SWITCH, False, "self_citation",
-          "one extra citation when an author's h exceeds a paper's citations by 1 or 2"),
-    Param("update_alpha", SWITCH, False, "dynamic_alpha",
-          "re-credit every paper to its currently highest-h author each period"),
+# Every SimulationConfig field as a Param, in field order. The last,
+# master_seed, is the --seed flag, which has its own place in the echo.
+_FIELDS = tuple(
+    Param(f.metadata["name"], _KIND_OF_TYPE[f.type], f.default, f.name, f.metadata["help"])
+    for f in dataclasses.fields(SimulationConfig)
 )
+PARAMETERS, _SEED = _FIELDS[:-1], _FIELDS[-1]
+_BY_NAME = {p.name: p for p in PARAMETERS}
 
-# Scenario presets: the baseline population (the table's defaults) plus the
-# parameters of one mechanism; diligence needs two, the share of agents who
-# publish and how strongly that selection tracks initial h.
+# Scenario presets: the baseline population (SimulationConfig's defaults) plus
+# the parameters of one mechanism; diligence needs two, the share of agents
+# who publish and how strongly that selection tracks initial h.
 PRESETS: dict[str, dict] = {
     "baseline": {},
     "boost": {"boost_size": 0.5},
@@ -98,31 +76,28 @@ def scenario_config(name: str, master_seed: int, **overrides) -> SimulationConfi
 
     A distribution name (``"poisson"`` or ``"nbinomial"``) becomes its CountKind;
     every other value reaches SimulationConfig as given, which checks its type and
-    range (an integer of at least 1 for ``runs``, ...).
+    range (an integer of at least 1 for ``runs``, ...). A parameter neither the
+    preset nor the overrides set keeps its SimulationConfig default.
     """
     if not isinstance(name, str) or name not in PRESETS:
         raise ConfigurationError(
             f"scenario must be one of {sorted(PRESETS)}, got {name!r}", "scenario"
         )
-    unknown = set(overrides) - {p.name for p in PARAMETERS}
+    unknown = set(overrides) - set(_BY_NAME)
     if unknown:
         raise ConfigurationError(f"unknown parameters: {sorted(unknown)}")
-    values = {**PRESETS[name], **overrides}
-    fields = {"master_seed": master_seed}
-    for p in PARAMETERS:
-        value = values.get(p.name, p.default)
-        if p.flag is DIST and value in _DISTS:
-            value = CountKind(value)
-        fields[p.field] = value
-    return SimulationConfig(**fields)
+    fields = {}
+    for key, value in {**PRESETS[name], **overrides}.items():
+        p = _BY_NAME[key]
+        fields[p.field] = CountKind(value) if p.flag is DIST and value in _DISTS else value
+    return SimulationConfig(**fields, master_seed=master_seed)
 
 
 # Keys of a JSON config file, and the flags that override them.
-_KEYS = ["scenario", "seed"] + [p.name for p in PARAMETERS]
+_KEYS = ["scenario", _SEED.name, *_BY_NAME]
 
 # The flag that sets each SimulationConfig field, and the scenario.
-_FLAG_OF = {p.field: "--" + p.name.replace("_", "-") for p in PARAMETERS}
-_FLAG_OF.update(master_seed="--seed", scenario="--scenario")
+_FLAG_OF = {p.field: "--" + p.name.replace("_", "-") for p in _FIELDS} | {"scenario": "--scenario"}
 
 
 def _with_flags(exc: ConfigurationError) -> str:
@@ -158,9 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario preset supplying defaults (default: baseline)")
     add("--config", type=Path, default=None, metavar="FILE",
         help="JSON file with parameter overrides (flags win over the file)")
-    for p in PARAMETERS:
-        add("--" + p.name.replace("_", "-"), help=p.help, **p.flag)
-    add("--seed", type=int, help="master seed (drawn from system entropy if omitted)")
+    for p in _FIELDS:
+        add(_FLAG_OF[p.field], help=p.help, **p.flag)
     add("--out", type=Path, help="path of the aggregated CSV (required)")
     add("--per-run", action="store_true", default=None,
         help="also write per-run trajectories next to the aggregated CSV")
@@ -221,8 +195,8 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
 
     values.update({k: getattr(ns, k) for k in _KEYS if getattr(ns, k) is not None})
     scenario = values.pop("scenario", "baseline")
-    seed_generated = "seed" not in values
-    seed = secrets.randbits(63) if seed_generated else values.pop("seed")
+    seed_generated = _SEED.name not in values
+    seed = secrets.randbits(63) if seed_generated else values.pop(_SEED.name)
 
     try:
         config = scenario_config(scenario, seed, **values)
@@ -247,7 +221,7 @@ def config_echo_path(out: Path) -> Path:
 def _render_echo(config: SimulationConfig, options: CliOptions) -> str:
     lines = [f"scenario = {json.dumps(options.scenario)}"]
     lines += [f"{p.name} = {json.dumps(getattr(config, p.field))}" for p in PARAMETERS]
-    lines.append(f"seed = {config.master_seed}")
+    lines.append(f"{_SEED.name} = {config.master_seed}")
     lines.append(f"out = {json.dumps(str(options.out))}")
     lines.append(f"per_run = {json.dumps(options.per_run)}")
     return "\n".join(lines) + "\n"

@@ -7,8 +7,8 @@ paper receives in a period depends on its age through a log-logistic curve
 that rises to a configurable peak and then decays.
 
 Parameters are checked against (test, description) rules. The count rules
-here are also those of the matching fields in ``engine``'s rule table of
-``SimulationConfig``, and ``draw_counts`` checks its own arguments with them.
+here are also those of the matching fields of ``SimulationConfig``, and
+``draw_counts`` checks its own arguments with them.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ def _is_real(value) -> bool:
 
 # A rule is a (test, description) pair: a value is accepted when the test holds.
 _KIND = (lambda v: isinstance(v, CountKind), "a CountKind (poisson or nbinomial)")
-_DISPERSION = (lambda v: v is None or _is_real(v) and math.isfinite(v), "a finite number or None")
-_NB_DISPERSION = (lambda v: v is not None and v >= DISPERSION_MIN,  # once _DISPERSION holds
-                  f"at least {DISPERSION_MIN} for the negative binomial")
+_DISPERSION = (lambda v: v is None or _is_real(v) and DISPERSION_MIN <= v < math.inf,
+               f"None, or a finite number of at least {DISPERSION_MIN}")
+_NB_DISPERSION = (lambda v: v is not None, "a number for the negative binomial")
 
 
 def _check(name: str, value, rule) -> None:

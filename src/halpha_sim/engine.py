@@ -30,7 +30,7 @@ import os
 import sys
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import islice
 from numbers import Integral
@@ -80,69 +80,89 @@ _NONNEGATIVE = (lambda v: _is_real(v) and 0 <= v < math.inf, "a finite nonnegati
 _SHARE = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
 _SWITCH = (lambda v: isinstance(v, bool), "a boolean")
 
-# The (test, description) rule of each SimulationConfig field, in field order,
-# which is the order they are checked in.
-_CONFIG_RULES = {
-    "runs": (lambda v: _is_integer(v) and 1 <= v <= EXPECTED_MAX, "an integer in [1, 2**30]"),
-    "n_agents": _COUNT,
-    "periods": _COUNT,
-    "coauthors_mean": _COUNT,
-    "paper_kind": _KIND,
-    "paper_mean": _NONNEGATIVE,
-    "citation_kind": _KIND,
-    "citation_mean": _NONNEGATIVE,
-    "citation_peak": (lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive number"),
-    "citation_speed": (lambda v: _is_real(v) and 1 < v < math.inf, "a finite number above 1"),
-    "alpha_share": _SHARE,
-    "master_seed": (lambda v: _is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
-    "paper_dispersion": _DISPERSION,
-    "citation_dispersion": _DISPERSION,
-    "collab_share": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "diligence_correlation": _SHARE,
-    "strategic": _SWITCH,
-    "self_citation": _SWITCH,
-    "boost_size": (lambda v: _is_real(v) and 0 <= v <= BOOST_SIZE_MAX, "a number in [0, 2**10]"),
-    "dynamic_alpha": _SWITCH,
-}
+# Each count distribution's kind and dispersion fields.
+_KIND_DISPERSIONS = (("paper_kind", "paper_dispersion"), ("citation_kind", "citation_dispersion"))
 
 
-@dataclass(frozen=True)
+def _param(name: str, default, rule, help: str):
+    """A SimulationConfig field: its ``default``, and as metadata its external
+    ``name`` (the CLI flag, with dashes, the JSON key and the config echo's
+    key), its (test, description) ``rule`` and its ``help`` line."""
+    return field(default=default, metadata={"name": name, "rule": rule, "help": help})
+
+
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """Every parameter of one experiment (shared by all of its runs). Construction
-    checks each field's type and range and raises a ConfigurationError naming the
-    first one at fault, in field order.
+    """Every parameter of one experiment (shared by all of its runs), built by
+    keyword, each declared once by ``_param``: the CLI derives its flags from
+    these fields. The defaults are the ``baseline`` preset; ``master_seed``
+    has none. Construction checks each field's rule and raises a
+    ConfigurationError naming the first one at fault, in field order: the
+    CLI's flag order, with the seed last.
 
     A paper's expected citations per period follow the aging curve of
     ``expected_citations``: they peak at ``citation_mean`` when the paper is
     ``citation_peak`` periods old, with steepness ``citation_speed``.
     """
 
-    runs: int
-    n_agents: int
-    periods: int
-    coauthors_mean: int
-    paper_kind: CountKind
-    paper_mean: float
-    citation_kind: CountKind
-    citation_mean: float
-    citation_peak: float
-    citation_speed: float
-    alpha_share: float
-    master_seed: int
-    paper_dispersion: float | None = None
-    citation_dispersion: float | None = None
-    collab_share: float = 1.0
-    diligence_correlation: float = 0.0
-    strategic: bool = False
-    self_citation: bool = False
-    boost_size: float = 0.0
-    dynamic_alpha: bool = False
+    runs: int = _param(
+        "runs", 50,
+        (lambda v: _is_integer(v) and 1 <= v <= EXPECTED_MAX, "an integer in [1, 2**30]"),
+        "number of independent runs to average over")
+    n_agents: int = _param("agents", 200, _COUNT, "number of simulated agents")
+    periods: int = _param("periods", 20, _COUNT, "number of collaboration periods")
+    coauthors_mean: int = _param("coauthors", 3, _COUNT,
+                                 "team size (last team per period may be smaller)")
+    paper_kind: CountKind = _param("papers_dist", CountKind.POISSON, _KIND,
+                                   "distribution of initial paper counts")
+    paper_mean: float = _param("papers_mean", 10.0, _NONNEGATIVE,
+                               "mean of the initial paper count distribution")
+    paper_dispersion: float | None = _param(
+        "papers_dispersion", None, _DISPERSION,
+        "dispersion of the initial paper count distribution (nbinomial only)")
+    citation_kind: CountKind = _param("citations_dist", CountKind.POISSON, _KIND,
+                                      "distribution of per-period citation counts")
+    citation_mean: float = _param("citations_mean", 5.0, _NONNEGATIVE,
+                                  "maximum expected citations per period")
+    citation_peak: float = _param(
+        "citations_peak", 3.0, (lambda v: _is_real(v) and 0 < v < math.inf,
+                                "a finite positive number"),
+        "paper age (in periods) at which expected citations peak")
+    citation_speed: float = _param(
+        "citations_speed", 2.0, (lambda v: _is_real(v) and 1 < v < math.inf,
+                                 "a finite number above 1"),
+        "steepness of the citation aging curve (must exceed 1)")
+    citation_dispersion: float | None = _param(
+        "citations_dispersion", None, _DISPERSION,
+        "dispersion of the citation count distribution (nbinomial only)")
+    alpha_share: float = _param("alpha_share", 0.33, _SHARE,
+                                "share of initial papers credited to their own agent")
+    boost_size: float = _param(
+        "boost_size", 0.0, (lambda v: _is_real(v) and 0 <= v <= BOOST_SIZE_MAX,
+                            "a number in [0, 2**10]"),
+        "one-time extra citations = round(max author h at publication * size); 0 disables")
+    diligence_correlation: float = _param(
+        "diligence_corr", 0.0, _SHARE, "correlation between publishing propensity and initial h")
+    collab_share: float = _param(
+        "diligence_share", 1.0, (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+        "share of agents who publish each period")
+    strategic: bool = _param("strategic", False, _SWITCH,
+                             "seed every team with a single top-h agent")
+    self_citation: bool = _param(
+        "self_citations", False, _SWITCH,
+        "one extra citation when an author's h exceeds a paper's citations by 1 or 2")
+    dynamic_alpha: bool = _param(
+        "update_alpha", False, _SWITCH,
+        "re-credit every paper to its currently highest-h author each period")
+    master_seed: int = _param(
+        "seed", MISSING,
+        (lambda v: _is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+        "master seed (drawn from system entropy if omitted)")
 
     def __post_init__(self) -> None:
-        for name, rule in _CONFIG_RULES.items():
-            _check(name, getattr(self, name), rule)
-        for kind, dispersion in (("paper_kind", "paper_dispersion"),
-                                 ("citation_kind", "citation_dispersion")):
+        for f in fields(self):
+            _check(f.name, getattr(self, f.name), f.metadata["rule"])
+        for kind, dispersion in _KIND_DISPERSIONS:
             if getattr(self, kind) is CountKind.NBINOMIAL:
                 _check(dispersion, getattr(self, dispersion), _NB_DISPERSION)
         # Expected table size and citations per paper; the first two terms
@@ -184,6 +204,10 @@ class SimulationConfig:
                 "(every agent publishes every period)",
                 stacklevel=_outside_package(),
             )
+        for kind, dispersion in _KIND_DISPERSIONS:
+            if getattr(self, kind) is CountKind.POISSON and getattr(self, dispersion) is not None:
+                warnings.warn(f"{dispersion} has no effect when {kind} is poisson",
+                              stacklevel=_outside_package())
 
 
 @dataclass

@@ -36,6 +36,7 @@ from halpha_sim.cli import (
     scenario_config,
 )
 from halpha_sim.distributions import CountKind
+from halpha_sim.engine import SimulationConfig
 from halpha_sim.errors import ConfigurationError
 
 FAST = ["--agents", "20", "--runs", "2", "--periods", "3", "--seed", "7"]
@@ -58,6 +59,17 @@ def test_baseline_preset_values():
     assert cfg.collab_share == 1.0
     assert cfg.boost_size == 0.0
     assert not cfg.strategic and not cfg.self_citation and not cfg.dynamic_alpha
+
+
+def test_the_config_defaults_are_the_baseline_preset():
+    for seed in (0, 1, 2**64 - 1):
+        assert SimulationConfig(master_seed=seed) == scenario_config("baseline", seed)
+
+
+def test_every_config_field_but_the_seed_is_a_parameter_in_field_order():
+    # a new field with a default cannot miss the CLI: its flag comes from the field
+    fields = [f.name for f in dataclasses.fields(SimulationConfig)]
+    assert [p.field for p in PARAMETERS] + ["master_seed"] == fields
 
 
 def test_variant_presets_set_their_parameters():
@@ -134,6 +146,7 @@ def test_unknown_flag_is_usage_error():
         # runs are at most 2**30, as agents and periods are; past 2**63 - 1 the
         # list of the pool's tasks could not even be built
         ["--runs", "9223372036854775808", "--agents", "2", "--periods", "1"],
+        ["--citations-dispersion", "-3"],  # with poisson counts too
     ],
 )
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, flags):

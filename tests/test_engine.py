@@ -142,14 +142,30 @@ def test_config_accepts_numpy_scalars():
 
 
 def test_every_config_field_has_exactly_one_rule():
-    # the rule table lists every field once, in field order, so a new field
-    # cannot skip validation
-    assert list(engine._CONFIG_RULES) == [f.name for f in dataclasses.fields(SimulationConfig)]
+    # every field declares one (test, description) rule in its metadata, so a
+    # new field cannot skip validation
+    fields = dataclasses.fields(SimulationConfig)
+    rules = [f.metadata["rule"] for f in fields]
+    assert all(callable(test) and isinstance(text, str) for test, text in rules)
     # and each rule rejects a value of no accepted type, naming its field
-    for name in engine._CONFIG_RULES:
+    for name in [f.name for f in fields]:
         with pytest.raises(ConfigurationError) as exc:
             make_config(**{name: object()})
         assert exc.value.fields == (name,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_config(citation_dispersion=2.0),
+    lambda: scenario_config("baseline", 1, papers_dispersion=2.0),
+    lambda: dataclasses.replace(make_config(paper_kind=CountKind.NBINOMIAL, paper_dispersion=2.0),
+                                paper_kind=CountKind.POISSON),
+], ids=["SimulationConfig", "scenario_config", "dataclasses.replace"])
+def test_a_dispersion_of_poisson_counts_warns_from_the_caller(call):
+    # accepted, since a JSON template may set it and no flag can unset it, but
+    # the warning says it has no effect, on the line in this file that called
+    with pytest.warns(UserWarning, match=r"dispersion has no effect when \w+ is poisson") as record:
+        call()
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_config_rejects_a_citation_mean_that_would_wrap_int32():
@@ -1296,6 +1312,52 @@ def test_the_chunk_size_does_not_change_a_run(monkeypatch, draw_threads, cfg):
     for chunk in (1, 3):
         assert all(np.array_equal(a, b) for a, b in zip(run(chunk), default))
     assert draw_threads == []  # in this process, with no draw thread
+
+
+@st.composite
+def _small_configs(draw) -> SimulationConfig:
+    """A small config that mixes the mechanisms whose draws _DrawThread._draw lists."""
+    share = draw(st.sampled_from([0.1, 0.5, 1.0]))  # 0.1 of at most 4 agents forms no team
+    overrides = dict(
+        runs=draw(st.integers(1, 3)), n_agents=draw(st.integers(1, 12)),
+        periods=draw(st.integers(1, 4)), coauthors_mean=draw(st.integers(1, 4)),
+        paper_mean=draw(st.sampled_from([0.0, 2.0, 6.0])), collab_share=share,
+        diligence_correlation=draw(st.sampled_from([0.0, 0.8])) if share < 1 else 0.0,
+        strategic=draw(st.booleans()), self_citation=draw(st.booleans()),
+        dynamic_alpha=draw(st.booleans()), boost_size=draw(st.sampled_from([0.0, 0.5])),
+    )
+    for kind, dispersion in (("paper_kind", "paper_dispersion"),
+                             ("citation_kind", "citation_dispersion")):
+        if draw(st.booleans()):
+            overrides[kind] = CountKind.NBINOMIAL
+            overrides[dispersion] = draw(st.sampled_from([0.5, 2.0]))
+    return make_config(**overrides)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_small_configs(), chunk=st.sampled_from([1, 2, 3, 7]))
+def test_runs_on_the_draw_thread_write_what_inline_runs_write(cfg, chunk):
+    # _DrawThread._draw restates the order in which the layers draw: for any mix
+    # of mechanisms, a run that draws on the thread writes the same columns
+    with pytest.MonkeyPatch.context() as mp:
+        _cores(mp, 1)
+        inline = run_experiment(cfg)
+        entered, enter = [], engine._DrawThread.__enter__
+
+        def recording_enter(self):
+            entered.append(self)
+            return enter(self)
+
+        mp.setattr(engine._DrawThread, "__enter__", recording_enter)
+        mp.setattr(engine, "_can_fork", lambda: False)  # the runs stay in this process
+        mp.setattr(engine, "_CHUNK", chunk)
+        _cores(mp, 2)
+        threaded = run_experiment(cfg)
+    for a, b in zip(threaded, inline, strict=True):
+        for column in ("h", "h_alpha", "paper_counts", "teams"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
+    if chunk == 1 and engine._teams_per_period(cfg) > 0 and cfg.periods > 1:
+        assert len(entered) == cfg.runs  # each run's last period cites a paper: it is alone
 
 
 @pytest.mark.parametrize("helper, due", [
