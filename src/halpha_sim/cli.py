@@ -20,13 +20,14 @@ import os
 import re
 import secrets
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import _fmt, aggregate, export_csv
 from .distributions import CountKind
 from .engine import SimulationConfig, run_experiment
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, ConfigurationWarning, DataError
 
 
 _DISTS = [k.value for k in CountKind]
@@ -100,9 +101,9 @@ _KEYS = ["scenario", _SEED.name, *_BY_NAME]
 _FLAG_OF = {p.field: "--" + p.name.replace("_", "-") for p in _FIELDS} | {"scenario": "--scenario"}
 
 
-def _with_flags(exc: ConfigurationError) -> str:
-    """The error message with the attributes it names replaced by their flags,
-    except in the value it reports after ", got "."""
+def _with_flags(exc: ConfigurationError | ConfigurationWarning) -> str:
+    """The error or warning message with the attributes it names replaced by
+    their flags, except in the value it reports after ", got "."""
     if not exc.fields:
         return str(exc)
     names = re.compile(r"\b(" + "|".join(exc.fields) + r")\b")
@@ -185,7 +186,8 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
     """Resolve flags, config file, and preset into an engine config.
 
     Exits with status 2 (via argparse) on unknown flags or config file keys,
-    mistyped or out-of-range values, or a missing output path.
+    mistyped or out-of-range values, or a missing output path. A value that
+    has no effect is a ``warning:`` line on stderr that names its flags.
     """
     parser = build_parser()
     ns = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
@@ -199,9 +201,13 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
     seed = secrets.randbits(63) if seed_generated else values.pop(_SEED.name)
 
     try:
-        config = scenario_config(scenario, seed, **values)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConfigurationWarning)
+            config = scenario_config(scenario, seed, **values)
     except ConfigurationError as exc:
         parser.error(_with_flags(exc))
+    for w in caught:  # a value with no effect, named as the errors name it
+        print(f"warning: {_with_flags(w.message)}", file=sys.stderr)
     options = CliOptions(
         scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run)
     )

@@ -40,8 +40,9 @@ def _is_real(value) -> bool:
 
 # A rule is a (test, description) pair: a value is accepted when the test holds.
 _KIND = (lambda v: isinstance(v, CountKind), "a CountKind (poisson or nbinomial)")
+# None, a dispersion left unset, passes the test, so the description need not offer it.
 _DISPERSION = (lambda v: v is None or _is_real(v) and DISPERSION_MIN <= v < math.inf,
-               f"None, or a finite number of at least {DISPERSION_MIN}")
+               f"a finite number of at least {DISPERSION_MIN}")
 _NB_DISPERSION = (lambda v: v is not None, "a number for the negative binomial")
 
 

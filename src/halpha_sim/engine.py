@@ -49,7 +49,7 @@ from .distributions import (
     draw_counts,
     expected_citations,
 )
-from .errors import ConfigurationError, DataError, _outside_package
+from .errors import ConfigurationError, ConfigurationWarning, DataError, _outside_package
 from .model import EXTERNAL_AUTHOR
 
 # Pre-simulation papers are one to five periods old at initialization.
@@ -199,15 +199,16 @@ class SimulationConfig:
                 "citation_speed", "citation_peak", "periods",
             )
         if self.diligence_correlation > 0 and self.collab_share >= 1.0:
-            warnings.warn(
+            warnings.warn(ConfigurationWarning(
                 "diligence_correlation has no effect when collab_share is 1 "
                 "(every agent publishes every period)",
-                stacklevel=_outside_package(),
-            )
+                "diligence_correlation", "collab_share",
+            ), stacklevel=_outside_package())
         for kind, dispersion in _KIND_DISPERSIONS:
             if getattr(self, kind) is CountKind.POISSON and getattr(self, dispersion) is not None:
-                warnings.warn(f"{dispersion} has no effect when {kind} is poisson",
-                              stacklevel=_outside_package())
+                warnings.warn(ConfigurationWarning(
+                    f"{dispersion} has no effect when {kind} is poisson", dispersion, kind,
+                ), stacklevel=_outside_package())
 
 
 @dataclass
@@ -268,10 +269,12 @@ class SimulationState:
     padding, and its paper ids are its columns. Teams, authors and credited
     authors hold agent rows, and one sentinel serves the batch.
 
-    ``authors`` pads short teams with -1.
-    It is int32, to halve its memory, and is cast to intp before numpy
-    gathers through it, which is about 3x slower through an int32 index; so
-    are the ages ``cite_papers`` and ``_citation_draw`` take from ``published_period``.
+    ``authors`` pads short teams with -1. A back-catalog paper has one
+    author, its owner, in column 0; its other columns, and all of padding's, are -1.
+    It is int32, to halve its memory, and what numpy gathers through is cast
+    to intp first, since a gather through an int32 index is about 3x slower:
+    the authors of the team papers, and column 0 alone of the back catalog;
+    and the ages ``cite_papers`` and ``_citation_draw`` take from ``published_period``.
     ``agent_papers[i, :agent_paper_counts[i]]`` lists agent row i's paper ids, and
     its empty slots hold the id ``capacity`` of a sentinel paper: entry
     ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
@@ -544,6 +547,8 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     The live papers, a prefix of each run's schedule (``_cited``), are
     drawn run by run in ``_CHUNK``-paper chunks as in one draw, so the chunk
     size changes no number. Everything else is done over the whole batch.
+    The self-citation check reads every author column of the team papers but
+    only column 0 of the back catalog, which holds a back-catalog paper's one author.
     """
     born, teams = state.segments(state.published_period), _teams_per_period(config)
     b = min(state.n_papers, _cited(state.back_width, teams, state.period))
@@ -561,9 +566,12 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
 
     citations = state.segments(state.citations)[:, :b]
     if config.self_citation:
-        authors = state.segments(state.authors)[:, :b].astype(np.intp)  # see SimulationState
-        lead = _member_h(authors, state.current_h) - citations[..., None]
-        gained[((lead == 1) | (lead == 2)).any(axis=-1)] += 1  # padding leads by -1 or less
+        back, authors = state.back_width, state.segments(state.authors)
+        below = np.append(state.current_h, -1).astype(np.int32) - 1  # padding's h is -1
+        owners = authors[:, :back, 0].astype(np.intp)  # see SimulationState
+        gained[:, :back] += _self_cited(below[owners], citations[:, :back])
+        members = below[authors[:, back:b].astype(np.intp)]
+        gained[:, back:] += _self_cited(members, citations[:, back:, None]).any(axis=-1)
 
     if config.boost_size > 0 and state.period > 1:  # the previous period's team papers
         first = slice(state.back_width + (state.period - 2) * teams, b)
@@ -572,6 +580,14 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
 
     gained += citations
     citations[...] = _checked_counts(gained)
+
+
+def _self_cited(below: np.ndarray, citations: np.ndarray) -> np.ndarray:
+    """Whether h exceeds the citations by 1 or 2: whether ``below - citations``,
+    read as uint32, is at most 1, for int32 ``below`` = h - 1 in [-2, COUNT_MAX - 1]
+    and int32 ``citations`` in [0, COUNT_MAX]. A negative difference reads 2**31
+    or more. Only -2**31 - 1 (h -1, COUNT_MAX citations) wraps, to 2**31 - 1: false."""
+    return (below - citations).view(np.uint32) <= 1
 
 
 def _checked_counts(counts: np.ndarray) -> np.ndarray:
@@ -629,16 +645,11 @@ def _recompute_indices(state: SimulationState, recredit: bool = False) -> None:
     state.current_h_alpha = (in_core & own_alpha).sum(axis=1, dtype=count).astype(np.int64)
 
 
-def _member_h(rows: np.ndarray, current_h: np.ndarray) -> np.ndarray:
-    """Current h of each agent in rows of -1-padded agent ids; padding reads -1."""
-    return np.append(current_h, -1)[rows]
-
-
 def _credited_authors(rows: np.ndarray, current_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of -1-padded agent ids (at least one member per row), the
     member with the highest current h, ties to the smaller id, and that h:
     ``model.determine_alpha_author`` on every row at once."""
-    member_h = _member_h(rows, current_h)
+    member_h = np.append(current_h, -1)[rows]  # padding reads -1
     # higher h first, then the smaller id; padding's key is -n, below every member's
     key = member_h.astype(np.int64) * (current_h.size + 1) - rows
     winner = (np.arange(rows.shape[0]), np.argmax(key, axis=1))

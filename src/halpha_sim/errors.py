@@ -17,6 +17,15 @@ class ConfigurationError(ValueError):
         self.fields = fields
 
 
+class ConfigurationWarning(UserWarning):
+    """Warned for a valid parameter that has no effect; ``fields`` as in
+    ConfigurationError."""
+
+    def __init__(self, message: str, *fields: str) -> None:
+        super().__init__(message)
+        self.fields = fields
+
+
 class DataError(ValueError):
     """Raised for simulation data that is inconsistent or too large for the engine's arrays."""
 

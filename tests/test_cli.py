@@ -200,6 +200,19 @@ def test_a_negative_number_in_its_own_argument_meets_the_rule(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["papers", "citations"])
+def test_a_dispersion_error_offers_only_what_a_flag_can_give(tmp_path, capsys, kind):
+    # a flag cannot give None, the unset dispersion, so the error does not offer it
+    flag = f"--{kind}-dispersion"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "x.csv"), "--seed", "1",
+              f"--{kind}-dist", "nbinomial", flag, "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"halpha-sim: error: {flag} must be a finite number of at least 1e-12, got 0.0"
+    )
+
+
 @pytest.mark.parametrize(
     "curve",
     [
@@ -630,16 +643,37 @@ def test_cli_start_up_imports_no_process_machinery():
 
 
 @pytest.mark.parametrize("call", [
-    lambda out: scenario_config("baseline", 1, diligence_corr=0.5),
-    lambda out: dataclasses.replace(scenario_config("baseline", 1), diligence_correlation=0.5),
-    lambda out: main([*FAST, "--diligence-corr", "0.5", "--out", str(out)]),
-], ids=["scenario_config", "dataclasses.replace", "main"])
-def test_the_diligence_warning_points_at_the_caller(tmp_path, capsys, call):
+    lambda: scenario_config("baseline", 1, diligence_corr=0.5),
+    lambda: dataclasses.replace(scenario_config("baseline", 1), diligence_correlation=0.5),
+], ids=["scenario_config", "dataclasses.replace"])
+def test_the_diligence_warning_points_at_the_caller(call):
     # the line in this file that called into the package, not one inside it
     # or in the dataclass machinery between them
     with pytest.warns(UserWarning, match="diligence_correlation has no effect") as record:
-        call(tmp_path / "x.csv")
+        call()
     assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize(("flags", "warning"), [
+    (["--diligence-corr", "0.5"], "--diligence-corr has no effect when --diligence-share is 1 "
+                                  "(every agent publishes every period)"),
+    (["--papers-dispersion", "2"], "--papers-dispersion has no effect when --papers-dist is poisson"),
+    (["--citations-dispersion", "2"],
+     "--citations-dispersion has no effect when --citations-dist is poisson"),
+], ids=["diligence", "papers_dispersion", "citations_dispersion"])
+def test_the_cli_warns_in_flag_terms(tmp_path, capsys, flags, warning):
+    # one stderr line naming the flags, and no Python warning
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*FAST, *flags, "--out", str(out)]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {warning}\n"
+    assert captured.out.endswith(f"wrote {out}\n") and "warning" not in captured.out
+    if "dispersion" in flags[0]:  # Poisson draws read no dispersion: the same CSV as without it
+        assert main([*FAST, "--out", str(tmp_path / "plain.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 # Values no rule may be surprised by: the tiniest and largest finite floats,
@@ -691,7 +725,8 @@ def test_every_parameter_value_is_accepted_or_rejected_cleanly(tmp_path, capsys,
             code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
-    assert code != 1 or err.startswith("error: "), err
+    # a value with no effect adds warning lines before the error line
+    assert code != 1 or re.match(r"(warning: [^\n]*\n)*error: ", err), err
     assert "Traceback" not in err
     assert [(w.filename, w.lineno, str(w.message)) for w in caught
             if w.filename.startswith(package)] == []

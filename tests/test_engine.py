@@ -1076,12 +1076,11 @@ def test_a_batch_is_built_as_its_runs_are_alone():
     assert (batch.first_paper > 0).any()
 
 
-def test_a_batch_gains_the_self_citations_and_boost_of_the_model(monkeypatch):
-    # every draw zero, so a period's gain is the model's self-citation plus its
-    # boost, paper by paper, over a padded batch with a short team (17
-    # publishers in teams of 3); leads of 0 to 5 are forced where they fit
-    cfg = make_config(runs=5, master_seed=80, self_citation=True, boost_size=0.7,
-                      collab_share=0.55, **UNEVEN)
+def _gains_match_the_model(monkeypatch, cfg):
+    """Every draw zero, so a period's gain is the model's self-citation plus
+    its boost, paper by paper, over a padded batch; leads of 0 to 5 are forced
+    where they fit, on back-catalog papers and on team papers if there are
+    any. Returns the state after period 3 and the gain of each cited paper."""
     state = init_state(cfg, 0, cfg.runs)
     assert len(state.rngs) == cfg.runs and (state.first_paper > 0).any()
     for _ in range(2):
@@ -1100,7 +1099,8 @@ def test_a_batch_gains_the_self_citations_and_boost_of_the_model(monkeypatch):
             if top >= lead:
                 state.citations[pid] = top - lead
                 forced.add((lead, pid % segment < state.back_width))
-    assert forced == {(lead, back) for lead in range(6) for back in (True, False)}
+    halves = (True, False) if teams else (True,)
+    assert forced == {(lead, back) for lead in range(6) for back in halves}
     before = state.citations.copy()
     cite_papers(state, cfg)
 
@@ -1119,8 +1119,35 @@ def test_a_batch_gains_the_self_citations_and_boost_of_the_model(monkeypatch):
         gains.append(gain)
     assert state.citations[-1] == -1  # the sentinel
     assert padding > 0
-    assert 1 in gains and max(gains) > 1  # self-citations and boosts both paid
+    assert 1 in gains  # self-citations paid
+    return state, gains
+
+
+def test_a_batch_gains_the_self_citations_and_boost_of_the_model(monkeypatch):
+    # 17 publishers in teams of 3
+    cfg = make_config(runs=5, master_seed=80, self_citation=True, boost_size=0.7,
+                      collab_share=0.55, **UNEVEN)
+    state, gains = _gains_match_the_model(monkeypatch, cfg)
+    assert max(gains) > 1  # boosts paid
     assert (state.segments(state.authors)[:, state.back_width :, -1] == -1).any()  # a short team
+
+
+@pytest.mark.parametrize("overrides", [
+    {"coauthors_mean": 1, "collab_share": 0.55},
+    {"collab_share": 0.01},
+], ids=["one_coauthor", "zero_teams"])
+def test_both_halves_of_the_self_citation_check_match_the_model(monkeypatch, overrides):
+    # cite_papers checks the back catalog's column 0 and every column of the
+    # team papers. One coauthor: both halves have one author column. No
+    # publishers: the team half is empty, and every cited paper is back catalog.
+    cfg = make_config(runs=5, master_seed=81, self_citation=True, boost_size=0.7,
+                      **UNEVEN | overrides)
+    state, gains = _gains_match_the_model(monkeypatch, cfg)
+    teams = engine._teams_per_period(cfg)
+    if cfg.coauthors_mean == 1:
+        assert state.authors.shape[1] == 1 and teams > 0 and max(gains) > 1
+    else:
+        assert teams == 0 and state.n_papers == state.back_width
 
 
 # --- the draw thread ----------------------------------------------------------
