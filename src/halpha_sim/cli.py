@@ -27,7 +27,7 @@ from pathlib import Path
 from .analysis import _fmt, aggregate, export_csv
 from .distributions import CountKind
 from .engine import SimulationConfig, run_experiment
-from .errors import ConfigurationError, ConfigurationWarning, DataError
+from .errors import ConfigurationError, DataError
 
 
 _DISTS = [k.value for k in CountKind]
@@ -47,7 +47,6 @@ class Param:
 
     name: str
     flag: dict  # argparse keyword arguments
-    default: object
     field: str
     help: str
 
@@ -55,7 +54,7 @@ class Param:
 # Every SimulationConfig field as a Param, in field order. The last,
 # master_seed, is the --seed flag, which has its own place in the echo.
 _FIELDS = tuple(
-    Param(f.metadata["name"], _KIND_OF_TYPE[f.type], f.default, f.name, f.metadata["help"])
+    Param(f.metadata["name"], _KIND_OF_TYPE[f.type], f.name, f.metadata["help"])
     for f in dataclasses.fields(SimulationConfig)
 )
 PARAMETERS, _SEED = _FIELDS[:-1], _FIELDS[-1]
@@ -101,10 +100,10 @@ _KEYS = ["scenario", _SEED.name, *_BY_NAME]
 _FLAG_OF = {p.field: "--" + p.name.replace("_", "-") for p in _FIELDS} | {"scenario": "--scenario"}
 
 
-def _with_flags(exc: ConfigurationError | ConfigurationWarning) -> str:
-    """The error or warning message with the attributes it names replaced by
-    their flags, except in the value it reports after ", got "."""
-    if not exc.fields:
+def _with_flags(exc: ConfigurationError | Warning) -> str:
+    """The error or warning message with the attributes it names in ``fields``
+    (if any) replaced by their flags, except in the value it reports after ", got "."""
+    if not getattr(exc, "fields", ()):
         return str(exc)
     names = re.compile(r"\b(" + "|".join(exc.fields) + r")\b")
     head, got, value = str(exc).partition(", got ")
@@ -187,7 +186,7 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
 
     Exits with status 2 (via argparse) on unknown flags or config file keys,
     mistyped or out-of-range values, or a missing output path. A value that
-    has no effect is a ``warning:`` line on stderr that names its flags.
+    has no effect is a ``ConfigurationWarning``, which ``main`` prints.
     """
     parser = build_parser()
     ns = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
@@ -201,13 +200,9 @@ def parse_config(argv=None) -> tuple[SimulationConfig, CliOptions]:
     seed = secrets.randbits(63) if seed_generated else values.pop(_SEED.name)
 
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConfigurationWarning)
-            config = scenario_config(scenario, seed, **values)
+        config = scenario_config(scenario, seed, **values)
     except ConfigurationError as exc:
         parser.error(_with_flags(exc))
-    for w in caught:  # a value with no effect, named as the errors name it
-        print(f"warning: {_with_flags(w.message)}", file=sys.stderr)
     options = CliOptions(
         scenario=scenario, seed_generated=seed_generated, out=ns.out, per_run=bool(ns.per_run)
     )
@@ -301,13 +296,25 @@ def run_and_report(config: SimulationConfig, options: CliOptions) -> int:
 
 
 def main(argv=None) -> int:
-    """Run the CLI; an interrupt (Ctrl-C) is one error line and exit status 130."""
-    try:
-        config, options = parse_config(argv)
-        return run_and_report(config, options)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
+    """Run the CLI; an interrupt (Ctrl-C) is one error line and exit status 130.
+    Every warning raised meanwhile, whatever the filters, is one ``warning:``
+    line on stderr in flag terms, once per distinct message."""
+    shown: set[str] = set()
+
+    def show(message, *_) -> None:
+        text = _with_flags(message)
+        if text not in shown:
+            shown.add(text)
+            print(f"warning: {text}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        try:
+            return run_and_report(*parse_config(argv))
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return 130
 
 
 if __name__ == "__main__":

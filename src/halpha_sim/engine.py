@@ -293,10 +293,8 @@ class SimulationState:
 
     ``rngs`` holds each run's generator, which the layers draw the
     collaborator choice, the team shuffle and the citation counts from.
-    ``_run_block`` may put a ``_DrawThread`` in the place of a lone run's
-    generator, which draws the same numbers ahead of the layers, reading the
-    read-only ``published_period`` and ``citation_means`` but holding no
-    reference to the state.
+    ``_run_block`` may put a ``_DrawThread``, which draws the same numbers
+    ahead of the layers, in the place of a lone run's generator.
     """
 
     period: int
@@ -342,6 +340,11 @@ def _collaborator_count(config: SimulationConfig) -> int:
     return min(config.n_agents, math.floor(config.collab_share * config.n_agents + 0.5))
 
 
+def _diligent(config: SimulationConfig) -> bool:
+    """Whether diligence picks the publishers: a correlation above 0, and not every agent."""
+    return config.diligence_correlation > 0 and _collaborator_count(config) < config.n_agents
+
+
 def _team_width(config: SimulationConfig) -> int:
     """Columns of a team row: a team never holds more than the publishers."""
     return min(config.coauthors_mean, config.n_agents)
@@ -354,8 +357,7 @@ def _teams_per_period(config: SimulationConfig) -> int:
 def _cited(back: int, teams: int, period: int) -> int:
     """Papers cited in ``period`` >= 1 by a run of ``back`` back-catalog papers
     and ``teams`` teams a period: the prefix of its schedule before that
-    period's teams. Its last period's count decides a batch of one and the
-    draw thread (see ``_run_block``)."""
+    period's teams. Its last period's count decides the draw thread (``_run_block``)."""
     return back + (period - 1) * teams
 
 
@@ -373,12 +375,11 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
 
     Every run first draws its paper counts, which fix its table width and
     back catalog. The batch takes the next run while its paper table (agent
-    rows x widest table) stays within ``_BATCH_CELLS`` cells; a run whose last
-    period cites at least ``_CHUNK`` papers is a batch of one. Each run then
+    rows x widest table) stays within ``_BATCH_CELLS`` cells. Each run then
     makes the rest of its draws from its own generator, in the order it
     would alone, and one index pass raises every agent's h from 0 to its
-    initial h. Under a diligence correlation, ``diligence_z`` holds that h's
-    rank-normal scores within each run.
+    initial h. When ``_diligent``, ``diligence_z`` holds that h's rank-normal
+    scores within each run.
     """
     n, periods, teams = config.n_agents, config.periods, _teams_per_period(config)
     drawn, width = [], 0  # each run's generator, paper counts and their sum; the widest table
@@ -388,14 +389,11 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
             config.paper_kind, config.paper_mean, rng, config.paper_dispersion, size=n
         ).astype(np.int64)
         total = int(counts.sum())
-        alone = _cited(total, teams, periods) >= _CHUNK
         widest = max(width, int(counts.max(initial=0)) + periods)
-        if drawn and (alone or (len(drawn) + 1) * n * widest > _BATCH_CELLS):
+        if drawn and (len(drawn) + 1) * n * widest > _BATCH_CELLS:
             break  # the next call draws this run's counts again
         drawn.append((rng, counts, total))
         width = widest
-        if alone:
-            break
 
     runs, back = len(drawn), max(total for _, _, total in drawn)
     segment = back + periods * teams
@@ -454,7 +452,7 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
         state.agent_papers[owner, slot] = np.arange(papers.start, papers.stop)
 
     _recompute_indices(state)
-    if config.diligence_correlation > 0:  # ranks of the initial h within each run
+    if _diligent(config):  # ranks of the initial h within each run
         state.diligence_z = np.concatenate(
             [rank_normal_scores(h) for h in state.current_h.reshape(runs, n)])
     state.published_period.flags.writeable = False  # both read by the draw thread
@@ -466,7 +464,7 @@ def select_collaborators(state: SimulationState, config: SimulationConfig) -> np
     """Pick the agents who publish this period, run by run: the agent rows of
     each run's publishers, one run after the other.
 
-    With no diligence correlation this is a uniform subset of
+    Unless ``_diligent``, this is a uniform subset of
     round(collab_share * n) agents. Otherwise each agent gets a latent score
     rho * z + sqrt(1 - rho^2) * eps, where z is the rank-normal score of its
     initial h and eps is fresh standard-normal noise, and the top scorers are
@@ -477,7 +475,7 @@ def select_collaborators(state: SimulationState, config: SimulationConfig) -> np
         return np.empty(0, dtype=np.int64)
     n, runs = config.n_agents, len(state.rngs)
     first_row = np.arange(0, runs * n, n)[:, None]
-    if config.diligence_correlation == 0:
+    if not _diligent(config):
         chosen = np.stack([rng.choice(n, size=count, replace=False) for rng in state.rngs])
         return (chosen + first_row).ravel()
     rho = config.diligence_correlation
@@ -752,7 +750,7 @@ class _DrawThread:
         shuffled = count - teams if config.strategic else count
         for period in range(1, config.periods + 1):
             if count > 0:
-                if config.diligence_correlation == 0:
+                if not _diligent(config):
                     yield "collaborators", count, partial(rng.choice, n, size=count, replace=False)
                 else:
                     yield "noise", n, partial(rng.standard_normal, n)
@@ -808,11 +806,10 @@ def _run_block(config: SimulationConfig, columns: list[np.ndarray], first: int,
     written into the result ``columns``.
 
     ``init_state`` builds each batch: consecutive runs while its paper table
-    stays within ``_BATCH_CELLS`` cells, and a run whose last period cites at
-    least ``_CHUNK`` papers alone. Such a run makes its draws on a
-    ``_DrawThread`` when the process has more than one usable core (see
-    ``run_experiment``), which stands in for its generator in ``state.rngs``
-    for the periods of the run.
+    stays within ``_BATCH_CELLS`` cells. A batch of one run whose last period
+    cites at least ``_CHUNK`` papers makes its draws on a ``_DrawThread`` when
+    the process has more than one usable core (see ``run_experiment``), which
+    stands in for its generator in ``state.rngs`` for the periods of the run.
     """
     n = config.n_agents
     while first < stop:
@@ -923,22 +920,18 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     MemoryError.
 
     A block, in this process or in a pool worker, simulates its runs in
-    batches (``_run_block``): ``init_state`` builds consecutive runs as one
-    table while it stays within ``_BATCH_CELLS`` cells, so a period of a batch
-    is one set of numpy calls, whatever the number of runs in it. Every row
-    depends only on its own run's papers and generator, so the batches change
-    no number.
+    batches (``_run_block``): ``init_state`` stacks consecutive runs into one
+    table within ``_BATCH_CELLS`` cells, so a period of a batch is one set of
+    numpy calls. Every row depends only on its own run's papers and
+    generator, so the batches change no number.
 
-    A run whose last period cites at least ``_CHUNK`` papers is a batch of
-    one, and it makes its draws on a second thread (``_DrawThread``: a
-    one-worker executor, whose thread is named ``halpha-draws_0``, installed by
-    ``_run_block`` in the place of the run's generator) when the process has
-    more than one usable core; smaller runs, and every run on one
-    core, draw inline, which is faster there. The thread draws about
-    one period ahead of the index pass, which then runs while the next period's
-    counts are drawn. Besides the generator it reads only two read-only arrays,
-    and the draws and so the results are the same on either path; the executor
-    is shut down and its thread joined before the run ends, also when it fails.
+    A batch of one run whose last period cites at least ``_CHUNK`` papers
+    makes its draws on a second thread, named ``halpha-draws_0``, when the
+    process has more than one usable core (``_run_block``, ``_DrawThread``);
+    other batches, and every run on one core, draw inline, which is faster
+    there. The thread draws about one period ahead of the index pass, with the
+    same results as inline draws, and is joined before the run ends, also
+    when it fails.
     """
     workers = min(config.runs, _usable_cores())
     columns = _allocate_columns(config)

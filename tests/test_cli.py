@@ -33,6 +33,7 @@ from halpha_sim.cli import (
     main,
     parse_config,
     per_run_path,
+    run_and_report,
     scenario_config,
 )
 from halpha_sim.distributions import CountKind
@@ -671,9 +672,29 @@ def test_the_cli_warns_in_flag_terms(tmp_path, capsys, flags, warning):
     captured = capsys.readouterr()
     assert captured.err == f"warning: {warning}\n"
     assert captured.out.endswith(f"wrote {out}\n") and "warning" not in captured.out
-    if "dispersion" in flags[0]:  # Poisson draws read no dispersion: the same CSV as without it
-        assert main([*FAST, "--out", str(tmp_path / "plain.csv")]) == 0
-        assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    # "no effect" holds to the byte: the same CSV as without the value
+    assert main([*FAST, "--out", str(tmp_path / "plain.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "default"])
+def test_a_warning_of_the_runs_is_one_line_whatever_the_filters(tmp_path, capsys, action):
+    # every run of the three splits its agents into empty groups, and warns;
+    # the CLI prints that once, in its own terms, as it prints a config warning
+    flags = ["--papers-mean", "0", "--citations-mean", "0", "--runs", "3", "--agents", "10",
+             "--periods", "2", "--seed", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert main([*flags, "--out", str(tmp_path / "e.csv")]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: every agent has the same initial h; low and high groups are empty\n")
+    # the same stdout as the run and report without main's handler
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_and_report(*parse_config([*flags, "--out", str(tmp_path / "e.csv")])) == 0
+    assert capsys.readouterr() == (captured.out, "")
 
 
 # Values no rule may be surprised by: the tiniest and largest finite floats,

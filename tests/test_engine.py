@@ -13,6 +13,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 import weakref
 from datetime import timedelta
 
@@ -40,7 +41,7 @@ from halpha_sim.engine import (
     select_collaborators,
     step_period,
 )
-from halpha_sim.errors import ConfigurationError, DataError
+from halpha_sim.errors import ConfigurationError, ConfigurationWarning, DataError
 from halpha_sim.model import EXTERNAL_AUTHOR
 
 
@@ -1179,6 +1180,7 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
     assert draw_threads == []
     _cores(monkeypatch, 2)
     monkeypatch.setattr(engine, "_can_fork", lambda: False)  # the runs stay in this process
+    monkeypatch.setattr(engine, "_BATCH_CELLS", 1)  # every run is a batch of one
     # tiny chunks and thread switches every few bytecodes: the hand-over is
     # stressed, and a draw taken out of order would change the results
     monkeypatch.setattr(engine, "_CHUNK", 3)
@@ -1349,7 +1351,8 @@ def _small_configs(draw) -> SimulationConfig:
         runs=draw(st.integers(1, 3)), n_agents=draw(st.integers(1, 12)),
         periods=draw(st.integers(1, 4)), coauthors_mean=draw(st.integers(1, 4)),
         paper_mean=draw(st.sampled_from([0.0, 2.0, 6.0])), collab_share=share,
-        diligence_correlation=draw(st.sampled_from([0.0, 0.8])) if share < 1 else 0.0,
+        # at share 1 the correlation has no effect: both paths must draw uniformly
+        diligence_correlation=draw(st.sampled_from([0.0, 0.8])),
         strategic=draw(st.booleans()), self_citation=draw(st.booleans()),
         dynamic_alpha=draw(st.booleans()), boost_size=draw(st.sampled_from([0.0, 0.5])),
     )
@@ -1358,7 +1361,9 @@ def _small_configs(draw) -> SimulationConfig:
         if draw(st.booleans()):
             overrides[kind] = CountKind.NBINOMIAL
             overrides[dispersion] = draw(st.sampled_from([0.5, 2.0]))
-    return make_config(**overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigurationWarning)  # the correlation at share 1
+        return make_config(**overrides)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1377,6 +1382,7 @@ def test_runs_on_the_draw_thread_write_what_inline_runs_write(cfg, chunk):
 
         mp.setattr(engine._DrawThread, "__enter__", recording_enter)
         mp.setattr(engine, "_can_fork", lambda: False)  # the runs stay in this process
+        mp.setattr(engine, "_BATCH_CELLS", 1)  # every run is a batch of one
         mp.setattr(engine, "_CHUNK", chunk)
         _cores(mp, 2)
         threaded = run_experiment(cfg)
@@ -1384,7 +1390,7 @@ def test_runs_on_the_draw_thread_write_what_inline_runs_write(cfg, chunk):
         for column in ("h", "h_alpha", "paper_counts", "teams"):
             assert np.array_equal(getattr(a, column), getattr(b, column)), column
     if chunk == 1 and engine._teams_per_period(cfg) > 0 and cfg.periods > 1:
-        assert len(entered) == cfg.runs  # each run's last period cites a paper: it is alone
+        assert len(entered) == cfg.runs  # each run's last period cites a paper
 
 
 @pytest.mark.parametrize("helper, due", [
@@ -1462,22 +1468,25 @@ def test_pool_workers_draw_on_the_thread_by_the_same_rule(
     assert len(draw_threads) == threaded
 
 
-def test_a_run_that_reaches_the_draw_thread_rule_is_a_batch_of_one(
-    monkeypatch, batches, draw_threads
-):
-    # with no back catalog each run cites 21 papers in its last period
+def test_only_a_batch_of_one_draws_on_the_thread(monkeypatch, batches, draw_threads):
+    # with no back catalog each run cites 21 papers in its last period, one
+    # chunk: runs that fit the bound share a batch and draw inline, and a
+    # batch of one draws on the thread on two cores
     cfg = make_config(runs=3, periods=4, paper_mean=0.0, master_seed=62)
     _cores(monkeypatch, 1)
     inline = _flatten(run_experiment(cfg))
     assert [len(batch) for batch in batches] == [3]
     monkeypatch.setattr(engine, "_CHUNK", 21)
     monkeypatch.setattr(engine, "_can_fork", lambda: False)  # the runs stay in this process
-    for cores, threads in ((1, 0), (2, 3)):
-        _cores(monkeypatch, cores)
-        batches.clear()
-        assert np.array_equal(_flatten(run_experiment(cfg)), inline)
-        assert [len(batch) for batch in batches] == [1, 1, 1]
-        assert len(draw_threads) == threads
+    for cells, sizes, threads in ((engine._BATCH_CELLS, [3], 0), (1, [1, 1, 1], 3)):
+        monkeypatch.setattr(engine, "_BATCH_CELLS", cells)
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            batches.clear()
+            draw_threads.clear()
+            assert np.array_equal(_flatten(run_experiment(cfg)), inline)
+            assert [len(batch) for batch in batches] == sizes
+            assert len(draw_threads) == (threads if cores == 2 else 0)
 
 
 def test_pool_workers_draw_inline(monkeypatch, pool_sizes, draw_threads):
