@@ -59,8 +59,6 @@ class ExperimentResult:
     per_run_low: np.ndarray  # (R, P)
     per_run_high: np.ndarray  # (R, P)
     run_indices: np.ndarray  # (R,)
-    low_sizes: np.ndarray  # (R,)
-    high_sizes: np.ndarray  # (R,)
     median_initial_h: np.ndarray  # (R,)
 
 
@@ -110,8 +108,6 @@ def aggregate(runs: list[RunResult]) -> ExperimentResult:
         per_run_low=per_run_low,
         per_run_high=per_run_high,
         run_indices=np.array([run.run_index for run in runs]),
-        low_sizes=np.array([s.low.size for s in splits]),
-        high_sizes=np.array([s.high.size for s in splits]),
         median_initial_h=np.array([s.median for s in splits]),
     )
 

@@ -198,11 +198,11 @@ class SimulationConfig:
                 f"{self.citation_peak} at age {oldest}",
                 "citation_speed", "citation_peak", "periods",
             )
-        if self.diligence_correlation > 0 and self.collab_share >= 1.0:
+        if self.diligence_correlation > 0 and not _diligent(self):
             warnings.warn(ConfigurationWarning(
-                "diligence_correlation has no effect when collab_share is 1 "
-                "(every agent publishes every period)",
-                "diligence_correlation", "collab_share",
+                "diligence_correlation has no effect when collab_share * n_agents rounds to "
+                "n_agents (every agent publishes every period)",
+                "diligence_correlation", "collab_share", "n_agents",
             ), stacklevel=_outside_package())
         for kind, dispersion in _KIND_DISPERSIONS:
             if getattr(self, kind) is CountKind.POISSON and getattr(self, dispersion) is not None:
@@ -860,19 +860,15 @@ def _allocate_columns(config: SimulationConfig) -> list[np.ndarray]:
     return columns
 
 
-# The result columns of a forked pool worker: its caller's, set by the pool's initializer.
-_shared_columns: list[np.ndarray] = []
-
-
-def _share_columns(columns: list[np.ndarray]) -> None:
-    global _shared_columns
-    _shared_columns = columns
-
-
-def _run_shared_block(config: SimulationConfig, first: int, stop: int) -> None:
-    """``_run_block`` on the shared columns; nothing is returned, so nothing is
-    sent back to the caller."""
-    _run_block(config, _shared_columns, first, stop)
+def _run_child(config, columns, first, stop, failures) -> None:
+    """A forked worker: ``_run_block`` on the columns it inherited at the fork.
+    An exception, an interrupt too, goes back on ``failures`` with the block's
+    first run, and nothing else: at about 200 bytes each, the queue's 64 KiB
+    pipe holds some 300 until the caller reads them after its joins."""
+    try:
+        _run_block(config, columns, first, stop)
+    except BaseException as exc:
+        failures.put((first, exc))
 
 
 # From Python 3.12 on, os.fork warns when the forking process has threads
@@ -911,13 +907,13 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     processes, cores being those of this process's CPU affinity, forked from
     this one: worker w runs the contiguous block
     ``range(w * runs // workers, (w + 1) * runs // workers)``, writes their rows
-    straight into the mapping and sends nothing back. They run in this process
-    instead when that count is 1, when the OS cannot fork, and on Python 3.12
-    or later when this process has more than one thread (os.fork would warn).
-    The pool is started and shut down within the call. A failed run fails the
-    call; another worker's block may still finish before the pool shuts down.
-    A worker that dies (killed by the system when out of memory, say) is a
-    MemoryError.
+    straight into the mapping and sends back only an exception. They run in
+    this process instead when that count is 1, when the OS cannot fork, and on
+    Python 3.12 or later when this process has more than one thread (os.fork
+    would warn). The workers are forked and joined within the call; then the
+    lowest failing block's exception fails it, and a worker that died without
+    one (killed by the system when out of memory, say) is a MemoryError. An
+    exception here, such as a SIGINT's KeyboardInterrupt, first kills every worker.
 
     A block, in this process or in a pool worker, simulates its runs in
     batches (``_run_block``): ``init_state`` stacks consecutive runs into one
@@ -938,26 +934,29 @@ def run_experiment(config: SimulationConfig) -> list[RunResult]:
     if workers == 1 or not _can_fork():
         _run_block(config, columns, 0, config.runs)
     else:
-        # Imported here: a serial call, and importing the package, need neither.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        from multiprocessing import get_context
-
-        # fork, set explicitly: a forked worker starts with numpy imported and
-        # this module loaded, where spawn and forkserver (3.14's default on
-        # Linux) would import them again in every call; and the initializer's
-        # columns, with the mapping under them, reach a forked worker as they
-        # are, unpickled.
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                                   initializer=_share_columns, initargs=(columns,))
+        from multiprocessing import get_context  # here, not at import: a serial call needs none
+        # fork, set explicitly: a worker starts with numpy imported and the columns
+        # mapped, where spawn and forkserver (3.14's Linux default) import anew.
+        fork = get_context("fork")
+        failures = fork.SimpleQueue()
+        bounds = [w * config.runs // workers for w in range(workers + 1)]
+        pool = [fork.Process(target=_run_child, args=(config, columns, first, stop, failures))
+                for first, stop in zip(bounds, bounds[1:])]
         try:
-            bounds = [w * config.runs // workers for w in range(workers + 1)]
-            for _ in pool.map(_run_shared_block, [config] * workers, bounds[:-1], bounds[1:]):
-                pass
-        except BrokenProcessPool as exc:
-            raise MemoryError(
-                "a worker process died, for example killed by the system when out of memory"
-            ) from exc
+            for worker in pool:
+                worker.start()
+            for worker in pool:
+                worker.join()
+            # the (first run, exception) of each failed block, until the queue is empty
+            failed = [failures.get() for _ in iter(failures.empty, True)]
+            if failed:
+                raise min(failed)[1]
+            if any(worker.exitcode for worker in pool):
+                raise MemoryError("a worker process died, for example killed by the system "
+                                  "when out of memory")
         finally:
-            pool.shutdown(cancel_futures=True)  # a failed run cancels the block not yet started
+            for worker in pool:  # after an interrupt, say: none outlives the call
+                if worker.is_alive():
+                    worker.kill()
+                    worker.join()
     return [RunResult(i, *(column[i] for column in columns)) for i in range(config.runs)]

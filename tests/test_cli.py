@@ -1,5 +1,6 @@
 """Preset expansion, flag handling, exit codes, and output files."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -371,6 +372,49 @@ def test_an_interrupt_is_one_error_line_and_exit_130(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to a child process")
+def test_an_interrupt_ends_the_pool_workers_at_once(tmp_path):
+    # SIGINT to the CLI process alone, as `kill -INT` sends it: its workers never
+    # see the signal and are each seconds from the end of their block, yet the
+    # CLI exits at once and leaves no process in its session
+    out = tmp_path / "x.csv"
+    script = (
+        "import sys\n"
+        "from halpha_sim import cli, engine\n"
+        "if not (engine._can_fork() and engine._usable_cores() > 1):\n"
+        "    sys.exit('no pool')\n"
+        "print('ready', flush=True)\n"
+        "sys.exit(cli.main(['--agents', '20000', '--periods', '120', '--runs', '2',\n"
+        f"                   '--seed', '1', '--out', {str(out)!r}]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            if proc.stdout.readline() != "ready\n":
+                pytest.skip("the child process cannot fork a pool")
+            time.sleep(0.5)  # into the workers' blocks
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+            took = time.monotonic() - sent
+            assert proc.returncode == 130, stderr
+            assert stderr == "error: interrupted\n"
+            assert took < 1.0
+            with pytest.raises(ProcessLookupError):  # no process left in the session's group
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--scenario", "baseline"],
     ["--scenario", "boost"],
@@ -655,15 +699,21 @@ def test_the_diligence_warning_points_at_the_caller(call):
     assert [w.filename for w in record] == [__file__]
 
 
+_NO_DILIGENCE = ("--diligence-corr has no effect when --diligence-share * --agents rounds to "
+                 "--agents (every agent publishes every period)")
+
+
 @pytest.mark.parametrize(("flags", "warning"), [
-    (["--diligence-corr", "0.5"], "--diligence-corr has no effect when --diligence-share is 1 "
-                                  "(every agent publishes every period)"),
+    (["--diligence-corr", "0.5"], _NO_DILIGENCE),
+    # floor(0.96 * 10 + 0.5) is 10: every agent publishes
+    (["--agents", "10", "--diligence-share", "0.96", "--diligence-corr", "0.5"], _NO_DILIGENCE),
     (["--papers-dispersion", "2"], "--papers-dispersion has no effect when --papers-dist is poisson"),
     (["--citations-dispersion", "2"],
      "--citations-dispersion has no effect when --citations-dist is poisson"),
-], ids=["diligence", "papers_dispersion", "citations_dispersion"])
+], ids=["diligence", "diligence_rounded", "papers_dispersion", "citations_dispersion"])
 def test_the_cli_warns_in_flag_terms(tmp_path, capsys, flags, warning):
-    # one stderr line naming the flags, and no Python warning
+    # one stderr line naming the flags, and no Python warning; the value at
+    # fault is the last flag, which the run without it leaves out
     out = tmp_path / "x.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -673,7 +723,7 @@ def test_the_cli_warns_in_flag_terms(tmp_path, capsys, flags, warning):
     assert captured.err == f"warning: {warning}\n"
     assert captured.out.endswith(f"wrote {out}\n") and "warning" not in captured.out
     # "no effect" holds to the byte: the same CSV as without the value
-    assert main([*FAST, "--out", str(tmp_path / "plain.csv")]) == 0
+    assert main([*FAST, *flags[:-2], "--out", str(tmp_path / "plain.csv")]) == 0
     assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 

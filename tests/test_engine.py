@@ -4,11 +4,11 @@ The array-based engine is cross-checked against the record-by-record
 definitions in ``model`` on full simulated states.
 """
 
-import concurrent.futures
 import copy
 import dataclasses
 import gc
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -838,7 +838,7 @@ def test_every_valid_worker_count_gives_the_same_results(monkeypatch):
 
 
 class _PoolSizes(list):
-    """The size of each pool asked for; ``returned`` holds what its tasks returned."""
+    """The worker count of each pool; ``returned`` holds what each worker's target returned."""
 
     def __init__(self):
         super().__init__()
@@ -847,28 +847,32 @@ class _PoolSizes(list):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The size of each pool run_experiment asks for; its runs execute here.
+    """The worker count of each pool run_experiment forks; its workers run here.
 
-    A fork pool starts all of its workers at once, so the cap is checked by
-    recording the size rather than by starting the pool. The initializer runs
-    here too, as a forked worker would run it.
+    The fork context's Process runs its target in this process when started,
+    so the cap is checked by counting the workers rather than by forking
+    them. A call's first worker runs the block that starts at run 0.
     """
     sizes = _PoolSizes()
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    class RecordingProcess:
+        def __init__(self, target, args):
+            if args[2] == 0:  # (config, columns, first, stop, failures)
+                sizes.append(0)
+            sizes[-1] += 1
+            self._run, self.exitcode = lambda: target(*args), None
 
-        def map(self, fn, *iterables):
-            returned = list(map(fn, *iterables))
-            sizes.returned.extend(returned)
-            return iter(returned)
+        def start(self):
+            sizes.returned.append(self._run())
+            self.exitcode = 0
 
-        def shutdown(self, cancel_futures):
+        def join(self):
             pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        def is_alive(self):
+            return False
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", RecordingProcess)
     return sizes
 
 
@@ -959,6 +963,24 @@ def test_pool_tasks_send_nothing_back(monkeypatch, pool_sizes):
     assert pool_sizes.returned == [None, None]
     _cores(monkeypatch, 1)
     assert np.array_equal(_flatten(results), _flatten(run_experiment(cfg)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_of_two_failing_blocks_the_first_blocks_exception_is_raised(monkeypatch):
+    # block 1 fails at once and block 0 later, so block 1's exception is sent first
+    if not engine._can_fork():
+        pytest.skip("this process cannot fork a pool without os.fork's warning")
+
+    def failing(config, run_index, stop=None):
+        if run_index == 0:
+            time.sleep(0.2)
+        raise DataError(f"block {run_index} failed")
+
+    monkeypatch.setattr(engine, "init_state", failing)
+    _cores(monkeypatch, 2)
+    with pytest.raises(DataError, match="^block 0 failed$"):
+        run_experiment(make_config(runs=2, periods=2))
+    assert multiprocessing.active_children() == []  # every worker joined
 
 
 # --- batches of runs ----------------------------------------------------------
@@ -1351,7 +1373,8 @@ def _small_configs(draw) -> SimulationConfig:
         runs=draw(st.integers(1, 3)), n_agents=draw(st.integers(1, 12)),
         periods=draw(st.integers(1, 4)), coauthors_mean=draw(st.integers(1, 4)),
         paper_mean=draw(st.sampled_from([0.0, 2.0, 6.0])), collab_share=share,
-        # at share 1 the correlation has no effect: both paths must draw uniformly
+        # where the share rounds to every agent (1.0, or 0.5 of one agent) the
+        # correlation has no effect: both paths must draw uniformly
         diligence_correlation=draw(st.sampled_from([0.0, 0.8])),
         strategic=draw(st.booleans()), self_citation=draw(st.booleans()),
         dynamic_alpha=draw(st.booleans()), boost_size=draw(st.sampled_from([0.0, 0.5])),
@@ -1362,7 +1385,7 @@ def _small_configs(draw) -> SimulationConfig:
             overrides[kind] = CountKind.NBINOMIAL
             overrides[dispersion] = draw(st.sampled_from([0.5, 2.0]))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConfigurationWarning)  # the correlation at share 1
+        warnings.simplefilter("ignore", ConfigurationWarning)  # that correlation warns
         return make_config(**overrides)
 
 
