@@ -18,17 +18,9 @@ from .engine import RunResult
 from .errors import DataError, _outside_package
 
 
-@dataclass(frozen=True)
-class GroupSplit:
-    """Agent ids below and above the run's median initial h."""
-
-    low: np.ndarray
-    high: np.ndarray
-    median: int
-
-
-def split_groups(initial_h) -> GroupSplit:
-    """Split agents by initial h around the run median (lower median for even counts)."""
+def split_groups(initial_h) -> tuple[np.ndarray, np.ndarray]:
+    """Agent ids below and above the run median of initial h (the lower median
+    for even counts): the low and the high group."""
     values = np.asarray(initial_h)
     if values.size == 0:
         raise ValueError("cannot split an empty population")
@@ -40,7 +32,7 @@ def split_groups(initial_h) -> GroupSplit:
             "every agent has the same initial h; low and high groups are empty",
             stacklevel=_outside_package(),
         )
-    return GroupSplit(low=low, high=high, median=median)
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,6 @@ class ExperimentResult:
     per_run_low: np.ndarray  # (R, P)
     per_run_high: np.ndarray  # (R, P)
     run_indices: np.ndarray  # (R,)
-    median_initial_h: np.ndarray  # (R,)
 
 
 def _mean_over_runs(per_run: np.ndarray) -> np.ndarray:
@@ -91,12 +82,12 @@ def aggregate(runs: list[RunResult]) -> ExperimentResult:
 
     per_run_low = np.full((len(runs), n_periods), np.nan)
     per_run_high = np.full((len(runs), n_periods), np.nan)
-    for r, (run, split) in enumerate(zip(runs, splits)):
+    for r, (run, (low, high)) in enumerate(zip(runs, splits)):
         h_alpha = run.h_alpha[1:]  # (P, n)
-        if split.low.size:
-            per_run_low[r] = h_alpha[:, split.low].mean(axis=1)
-        if split.high.size:
-            per_run_high[r] = h_alpha[:, split.high].mean(axis=1)
+        if low.size:
+            per_run_low[r] = h_alpha[:, low].mean(axis=1)
+        if high.size:
+            per_run_high[r] = h_alpha[:, high].mean(axis=1)
 
     mean_low = _mean_over_runs(per_run_low)
     mean_high = _mean_over_runs(per_run_high)
@@ -108,7 +99,6 @@ def aggregate(runs: list[RunResult]) -> ExperimentResult:
         per_run_low=per_run_low,
         per_run_high=per_run_high,
         run_indices=np.array([run.run_index for run in runs]),
-        median_initial_h=np.array([s.median for s in splits]),
     )
 
 

@@ -12,6 +12,13 @@ reproduced exactly.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m halpha_sim.cli: the command, before numpy is imported
+    import sys
+
+    from halpha_sim import main
+
+    sys.exit(main())
+
 import argparse
 import dataclasses
 import errno
@@ -315,7 +322,3 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             print("error: interrupted", file=sys.stderr)
             return 130
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -245,7 +245,11 @@ class RunResult:
 
     @property
     def periods(self) -> list[PeriodMetrics]:
-        """Periods 1..periods as views of their rows: writing to a field writes the column."""
+        """Periods 1..periods as views of their rows: writing to a field writes the column.
+
+        Only the benchmark harness (``perfbench/``) and the test of these views
+        read them; every other reader reads the columns.
+        """
         return [
             PeriodMetrics(t, self.h[t], self.h_alpha[t], self.paper_counts[t], self.teams[t - 1])
             for t in range(1, len(self.h))

@@ -15,6 +15,9 @@ each publisher gains exactly one paper per period) and re-derives h and
 h-alpha from ``model`` on a re-simulated run; per-agent h-alpha dips are
 legitimate (a credited paper at the h-core boundary can be overtaken while
 h stays put) and are reported as a figure, each one confirmed by the oracle.
+Criterion 10 states the paper's claim as a number: at the last period, the
+high initial-h group holds a larger share of the groups' mean h-alpha than of
+their mean h.
 """
 
 import math
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from halpha_sim import model
-from halpha_sim.analysis import aggregate, export_csv
+from halpha_sim.analysis import aggregate, export_csv, split_groups
 from halpha_sim.cli import scenario_config
 from halpha_sim.distributions import expected_citations
 from halpha_sim.engine import init_state, run_experiment, step_period
@@ -44,7 +47,9 @@ class Summary:
     final_diff: float
     low: np.ndarray
     high: np.ndarray
-    medians: np.ndarray
+    medians: np.ndarray  # per run, the lower median of initial h
+    h_share: float  # the high group's final-period share of mean h
+    h_alpha_share: float  # ... and of mean h-alpha
 
 
 @dataclass
@@ -71,9 +76,7 @@ class Violations:
 def check_invariants(runs, cfg, tally: Violations) -> None:
     expected_members = min(cfg.n_agents, math.floor(cfg.collab_share * cfg.n_agents + 0.5))
     for run in runs:
-        h = np.stack([run.initial_h] + [pm.h for pm in run.periods])
-        h_alpha = np.stack([pm.h_alpha for pm in run.periods])
-        counts = np.stack([pm.paper_counts for pm in run.periods])
+        h, h_alpha, counts = run.h, run.h_alpha[1:], run.paper_counts[1:]
         tally.checked_records += h_alpha.size
         tally.bounds += int((h_alpha > h[1:]).sum() + (h[1:] > counts).sum())
         tally.h_drops += int((np.diff(h, axis=0) < 0).sum())
@@ -81,9 +84,8 @@ def check_invariants(runs, cfg, tally: Violations) -> None:
 
         # each team member gains exactly one paper per period, everyone else none
         published = np.zeros_like(counts)
-        pre_h = run.initial_h
-        for t, pm in enumerate(run.periods):
-            teams = pm.teams
+        for t, teams in enumerate(run.teams):
+            pre_h = h[t]  # the h the period's teams were formed with
             members = teams[teams >= 0]
             published[t, members] = 1
             ok_partition = (
@@ -101,8 +103,22 @@ def check_invariants(runs, cfg, tally: Violations) -> None:
                 safe = np.where(teams >= 0, teams, 0)
                 per_team = np.where(teams >= 0, is_top[safe], False).sum(axis=1)
                 tally.strategic += int((per_team != 1).sum())
-            pre_h = pm.h
         tally.paper_steps += int((np.diff(counts, axis=0) != published[1:]).sum())
+
+
+def high_share(low: float, high: float) -> float:
+    return high / (high + low)
+
+
+def final_h_means(runs) -> tuple[float, float]:
+    """The low and the high group's final-period mean h: each run's group
+    means, averaged over the runs as ``aggregate`` averages h-alpha."""
+    means = []
+    for run in runs:
+        low, high = split_groups(run.h[0])
+        means.append((run.h[-1, low].mean(), run.h[-1, high].mean()))
+    low_mean, high_mean = np.mean(means, axis=0)
+    return float(low_mean), float(high_mean)
 
 
 def _count_oracle_mismatches(state) -> int:
@@ -141,13 +157,13 @@ def check_against_oracle(run, cfg, tally: Violations) -> None:
     state = init_state(cfg, run.run_index)
     tally.oracle += _count_oracle_mismatches(state)
     tally.oracle_records += state.n_agents
-    for pm in run.periods:
+    for t in range(1, len(run.h)):
         before = state.current_h_alpha.copy()
         step_period(state, cfg)
         replayed = (
-            np.array_equal(state.current_h, pm.h)
-            and np.array_equal(state.current_h_alpha, pm.h_alpha)
-            and np.array_equal(state.agent_paper_counts, pm.paper_counts)
+            np.array_equal(state.current_h, run.h[t])
+            and np.array_equal(state.current_h_alpha, run.h_alpha[t])
+            and np.array_equal(state.agent_paper_counts, run.paper_counts[t])
         )
         tally.oracle += 0 if replayed else 1
         tally.oracle += _count_oracle_mismatches(state)
@@ -167,12 +183,15 @@ def experiments():
             if seed == SEEDS[0] and name in SCENARIOS:
                 check_against_oracle(runs[0], cfg, tally)
             result = aggregate(runs)
+            lower_median = (cfg.n_agents - 1) // 2
             summaries[(name, seed)] = Summary(
                 first_diff=float(result.difference[0]),
                 final_diff=float(result.difference[-1]),
                 low=result.mean_h_alpha_low,
                 high=result.mean_h_alpha_high,
-                medians=result.median_initial_h,
+                medians=np.array([np.sort(run.h[0])[lower_median] for run in runs]),
+                h_share=high_share(*final_h_means(runs)),
+                h_alpha_share=high_share(result.mean_h_alpha_low[-1], result.mean_h_alpha_high[-1]),
             )
     return summaries, tally
 
@@ -292,3 +311,19 @@ def test_criterion_9_invariant_suite(experiments):
         f"oracle checked {tally.oracle_records} records of run 0, seed {SEEDS[0]} "
         f"per scenario, {tally.oracle_dips} h-alpha dips among them",
     )
+
+
+def test_criterion_10_high_group_holds_more_of_h_alpha_than_of_h(experiments):
+    # the paper's claim: crediting each paper to one author (h-alpha) widens
+    # the advantage of the agents who started with the higher h
+    summaries, _ = experiments
+    passes, shares = {}, []
+    for sc in SCENARIOS:
+        per_seed = [summaries[(sc, s)] for s in SEEDS]
+        passes[sc] = sum(s.h_alpha_share > s.h_share for s in per_seed)
+        h = [s.h_share for s in per_seed]
+        h_alpha = [s.h_alpha_share for s in per_seed]
+        shares.append(f"{sc} {passes[sc]}/20 seeds, h {min(h):.3f}-{max(h):.3f}, "
+                      f"h-alpha {min(h_alpha):.3f}-{max(h_alpha):.3f}")
+    report(10, "high group's final share of mean h-alpha > its share of mean h",
+           min(passes.values()) >= 18, "; ".join(shares))

@@ -30,36 +30,34 @@ def make_run(run_index, initial_h, h_alpha_by_period):
 INITIAL_H = [1, 2, 5, 9, 9]
 
 
-def at_median(split, n):
+def at_median(low, high, n):
     """Agents in neither group: those exactly at the median."""
-    return np.setdiff1d(np.arange(n), np.concatenate([split.low, split.high]))
+    return np.setdiff1d(np.arange(n), np.concatenate([low, high]))
 
 
 # --- split_groups ------------------------------------------------------------
 
 
 def test_split_one_to_thirteen():
-    split = split_groups(np.arange(1, 14))
-    assert split.median == 7
-    assert split.low.size == 6
-    assert split.high.size == 6
-    assert at_median(split, 13).size == 1
+    low, high = split_groups(np.arange(1, 14))
+    assert low.size == 6
+    assert high.size == 6
+    assert at_median(low, high, 13).tolist() == [6]
 
 
 def test_split_uses_lower_median_for_even_counts():
-    split = split_groups([1, 2, 9, 10])
-    assert split.median == 2
-    assert split.low.tolist() == [0]
-    assert split.high.tolist() == [2, 3]
-    assert at_median(split, 4).tolist() == [1]
+    low, high = split_groups([1, 2, 9, 10])
+    assert low.tolist() == [0]
+    assert high.tolist() == [2, 3]
+    assert at_median(low, high, 4).tolist() == [1]
 
 
 def test_split_all_equal_warns_and_empties():
     with pytest.warns(UserWarning):
-        split = split_groups([4, 4, 4, 4])
-    assert split.low.size == 0
-    assert split.high.size == 0
-    assert at_median(split, 4).size == 4
+        low, high = split_groups([4, 4, 4, 4])
+    assert low.size == 0
+    assert high.size == 0
+    assert at_median(low, high, 4).size == 4
 
 
 @pytest.mark.parametrize(

@@ -67,9 +67,9 @@ def test_gate_accepts_a_cli_experiment(experiment):
 
 def test_gate_rejects_a_broken_run(experiment):
     config, runs, out = experiment
-    runs[1].periods[3].h[:] = -1
+    runs[1].h[4] = -1  # period 4
     assert any("h decreases" in p for p in gate.check_runs(runs, config))
-    runs[0].periods[2].h_alpha[:] += 1
+    runs[0].h_alpha[3] += 1  # period 3
     per_run = gate.per_run_path(out).read_bytes()
     assert gate.check_csvs(runs, out.read_bytes(), per_run) != []
 

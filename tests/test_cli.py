@@ -374,23 +374,27 @@ def test_an_interrupt_is_one_error_line_and_exit_130(tmp_path):
 
 @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to a child process")
 def test_an_interrupt_ends_the_pool_workers_at_once(tmp_path):
-    # SIGINT to the CLI process alone, as `kill -INT` sends it: its workers never
+    # SIGINT to the command alone, as `kill -INT` sends it: its workers never
     # see the signal and are each seconds from the end of their block, yet the
-    # CLI exits at once and leaves no process in its session
+    # command exits at once and leaves no process in its session. The command
+    # runs as a user starts it, with no BLAS thread count in its environment.
     out = tmp_path / "x.csv"
     script = (
-        "import sys\n"
-        "from halpha_sim import cli, engine\n"
-        "if not (engine._can_fork() and engine._usable_cores() > 1):\n"
+        "import os, sys\n"
+        "import halpha_sim\n"
+        "if hasattr(os, 'sched_getaffinity') and len(os.sched_getaffinity(0)) < 2:\n"
         "    sys.exit('no pool')\n"
-        "print('ready', flush=True)\n"
-        "sys.exit(cli.main(['--agents', '20000', '--periods', '120', '--runs', '2',\n"
-        f"                   '--seed', '1', '--out', {str(out)!r}]))\n"
+        "fork = os.fork\n"
+        "def announced_fork():  # the pool forks its workers: the run is in their blocks\n"
+        "    print('ready', flush=True)\n"
+        "    return fork()\n"
+        "os.fork = announced_fork\n"
+        "sys.exit(halpha_sim.main(['--agents', '20000', '--periods', '120', '--runs', '2',\n"
+        f"                          '--seed', '1', '--out', {str(out)!r}]))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
     with subprocess.Popen(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        env=_command_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -666,6 +670,70 @@ def test_cli_and_diligence_transform_load_no_scipy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# the thread counts the command sets for numpy's BLAS
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# a user's command and `python -m` each start the CLI with --help
+COMMANDS = {
+    "halpha-sim": ["-c", "import sys, halpha_sim; sys.exit(halpha_sim.main())", "--help"],
+    "python -m halpha_sim.cli": ["-m", "halpha_sim.cli", "--help"],
+}
+# imported first by a child with its directory on PYTHONPATH: as the child
+# exits, it prints its thread count and the environment variables it changed
+REPORT_AT_EXIT = """\
+import atexit, json, os
+_start = dict(os.environ)
+atexit.register(lambda: print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")),
+    "changed": {k: v for k, v in os.environ.items() if _start.get(k) != v},
+})))
+"""
+
+
+def _command_env(**blas_threads) -> dict:
+    """This process's environment with src/ on the path and no BLAS thread
+    count but ``blas_threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**env, "PYTHONPATH": str(src), **blas_threads}
+
+
+def _report_at_exit(tmp_path, args, **blas_threads) -> dict:
+    (tmp_path / "sitecustomize.py").write_text(REPORT_AT_EXIT, encoding="utf-8")
+    env = _command_env(**blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads in /proc/self/task")
+
+
+@needs_proc
+@pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
+def test_the_command_runs_one_blas_thread(tmp_path, args):
+    # numpy's BLAS starts a thread at import on a multi-core host, and from
+    # Python 3.12 on a second thread keeps the worker pool from forking
+    report = _report_at_exit(tmp_path, args)
+    assert report == {"threads": 1, "changed": dict.fromkeys(BLAS_THREADS, "1")}
+
+
+@needs_proc
+@pytest.mark.parametrize("args", COMMANDS.values(), ids=COMMANDS)
+def test_the_command_keeps_a_blas_thread_count_the_user_set(tmp_path, args):
+    report = _report_at_exit(tmp_path, args, OPENBLAS_NUM_THREADS="2")
+    assert report["changed"] == {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@needs_proc
+def test_importing_the_package_changes_no_environment_variable(tmp_path):
+    # a Python caller owns its BLAS threads
+    report = _report_at_exit(tmp_path, ["-c", "import halpha_sim, halpha_sim.cli"])
+    assert report["changed"] == {}
 
 
 def test_cli_start_up_imports_no_process_machinery():

@@ -798,8 +798,8 @@ def _flatten(results):
     parts = []
     for run in results:
         parts.append(run.initial_h)
-        for pm in run.periods:
-            parts.extend([pm.h, pm.h_alpha, pm.paper_counts])
+        for t in range(1, len(run.h)):
+            parts.extend([run.h[t], run.h_alpha[t], run.paper_counts[t]])
     return np.concatenate(parts)
 
 
@@ -1216,7 +1216,7 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
     assert len(draw_threads) == 3
     assert np.array_equal(_flatten(threaded), _flatten(inline))
     for a, b in zip(threaded, inline):
-        assert all(np.array_equal(p.teams, q.teams) for p, q in zip(a.periods, b.periods))
+        assert all(np.array_equal(p, q) for p, q in zip(a.teams, b.teams))
 
 
 def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
@@ -1356,7 +1356,7 @@ def test_the_chunk_size_does_not_change_a_run(monkeypatch, draw_threads, cfg):
     def run(chunk):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         results = run_experiment(cfg)
-        teams = [pm.teams for run in results for pm in run.periods]
+        teams = [period_teams for run in results for period_teams in run.teams]
         return _flatten(results), np.concatenate([t.ravel() for t in teams])
 
     default = run(engine._CHUNK)
