@@ -550,7 +550,11 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     drawn run by run in ``_CHUNK``-paper chunks as in one draw, so the chunk
     size changes no number. Everything else is done over the whole batch.
     The self-citation check reads every author column of the team papers but
-    only column 0 of the back catalog, which holds a back-catalog paper's one author.
+    only column 0 of the back catalog, which holds a back-catalog paper's one
+    author. It takes the team papers one author column at a time and ORs the
+    columns' answers: the loop walks the few team-width columns, and each step
+    is one vector operation over every team paper, since numpy reduces a
+    gather of every author slowly along its short author axis.
     """
     born, teams = state.segments(state.published_period), _teams_per_period(config)
     b = min(state.n_papers, _cited(state.back_width, teams, state.period))
@@ -572,8 +576,11 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
         below = np.append(state.current_h, -1).astype(np.int32) - 1  # padding's h is -1
         owners = authors[:, :back, 0].astype(np.intp)  # see SimulationState
         gained[:, :back] += _self_cited(below[owners], citations[:, :back])
-        members = below[authors[:, back:b].astype(np.intp)]
-        gained[:, back:] += _self_cited(members, citations[:, back:, None]).any(axis=-1)
+        cited = citations[:, back:]
+        self_cited = np.zeros(cited.shape, dtype=bool)
+        for column in np.moveaxis(authors[:, back:b], -1, 0):
+            self_cited |= _self_cited(below[column.astype(np.intp)], cited)
+        gained[:, back:] += self_cited
 
     if config.boost_size > 0 and state.period > 1:  # the previous period's team papers
         first = slice(state.back_width + (state.period - 2) * teams, b)
@@ -616,10 +623,16 @@ def _recompute_indices(state: SimulationState, recredit: bool = False) -> None:
     every paper to its author with the highest new h before h-alpha is
     counted. The h-core is every paper above h plus the earliest papers at
     exactly h; a row lists paper ids in increasing order, so ties go to the
-    smaller id, as in ``model.h_core``. Per-row counts are kept in the
-    smallest unsigned type that holds the used width (uint8 up to 255 slots),
-    and none can wrap: the papers above h, the running count of ties, h and
-    ``h - above`` are each at most the row's paper count.
+    smaller id, as in ``model.h_core``.
+
+    Both loops here run over the short axis, each step one vector operation
+    over every agent or paper row: ``_core_ties`` counts the ties slot column
+    by slot column, each contiguous in the slot-major table, and the
+    re-credit's ``_credited_authors`` walks the team-width author columns.
+    Per-row counts are kept in the smallest unsigned type that holds the used
+    width (uint8 up to 255 slots), and none can wrap: the papers above h, the
+    running count of ties, h and ``h - above`` are each at most the row's
+    paper count.
     """
     n = state.n_agents
     width = state.agent_paper_counts.max()
@@ -642,20 +655,40 @@ def _recompute_indices(state: SimulationState, recredit: bool = False) -> None:
     # at most h papers lie above h, or h would be at least h + 1
     at_h = cit == h[:, None]
     room = (h - total).astype(count)
-    in_core = above | (at_h & (np.cumsum(at_h, axis=1, dtype=count) <= room[:, None]))
+    in_core = above | _core_ties(at_h, room)
     own_alpha = state.alpha_author[papers] == np.arange(n, dtype=np.int32)[:, None]
     state.current_h_alpha = (in_core & own_alpha).sum(axis=1, dtype=count).astype(np.int64)
+
+
+def _core_ties(at_h: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Which papers at exactly h are in the core: the first ``room`` of each
+    row's ties. The running count of ties is added one slot column into the
+    next, each a contiguous column of the slot-major table, in ``room``'s
+    type; a cumsum along the rows would walk the table's strided axis."""
+    ties = at_h.astype(room.dtype)
+    for previous, column in zip(ties.T, ties.T[1:]):
+        column += previous
+    return at_h & (ties <= room[:, None])
 
 
 def _credited_authors(rows: np.ndarray, current_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of -1-padded agent ids (at least one member per row), the
     member with the highest current h, ties to the smaller id, and that h:
-    ``model.determine_alpha_author`` on every row at once."""
-    member_h = np.append(current_h, -1)[rows]  # padding reads -1
-    # higher h first, then the smaller id; padding's key is -n, below every member's
-    key = member_h.astype(np.int64) * (current_h.size + 1) - rows
-    winner = (np.arange(rows.shape[0]), np.argmax(key, axis=1))
-    return rows[winner], member_h[winner]
+    ``model.determine_alpha_author`` on every row at once.
+
+    A member's key is h * (n + 1) - id, so a higher h wins, then the smaller
+    id; padding's key is -n, below every member's. The best key is a running
+    maximum over the team-width columns, not a reduction along each short
+    row, and since 0 <= id < n it decodes exactly: h = (best + n) // (n + 1)
+    and id = h * (n + 1) - best.
+    """
+    n = current_h.size
+    key = (np.append(current_h, -1).astype(np.int64) * (n + 1))[rows] - rows
+    best = key[:, 0].copy()
+    for column in key.T[1:]:
+        np.maximum(best, column, out=best)
+    h = (best + n) // (n + 1)
+    return h * (n + 1) - best, h
 
 
 def _reassign_alpha_authors(state: SimulationState) -> None:

@@ -403,6 +403,36 @@ def test_publish_solo_team_and_one_paper_per_team():
     assert state2.alpha_author[0] == 2
 
 
+@st.composite
+def _padded_teams(draw):
+    """Current h of n agents and rows of 1 to 8 columns: each row's members,
+    distinct ids that favour 0 and n - 1, padded with -1 and shuffled, so
+    padding may come before, between or after them. h is mostly 0 to 2, so
+    members often tie, and sometimes up to COUNT_MAX."""
+    n = draw(st.integers(1, 60))
+    small_h, any_h = st.integers(0, 2), st.integers(0, COUNT_MAX)
+    h = draw(st.lists(st.one_of(small_h, small_h, any_h), min_size=n, max_size=n))
+    width = draw(st.integers(1, 8))
+    ids = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        members = draw(st.lists(ids, min_size=1, max_size=min(width, n), unique=True))
+        rows.append(draw(st.permutations(members + [-1] * (width - len(members)))))
+    return np.array(h, dtype=np.int32), np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(teams=_padded_teams())
+def test_credited_authors_match_the_model_on_padded_rows(teams):
+    # the winner's h is the boost anchor, so it is pinned as well as the winner
+    current_h, rows = teams
+    winners, winner_h = engine._credited_authors(rows, current_h)
+    h = dict(enumerate(current_h.tolist()))
+    for row, winner, anchor in zip(rows.tolist(), winners.tolist(), winner_h.tolist()):
+        expected = model.determine_alpha_author([a for a in row if a >= 0], h)
+        assert (winner, anchor) == (expected, h[expected])
+
+
 # --- citations ---------------------------------------------------------------
 
 

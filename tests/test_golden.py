@@ -72,6 +72,12 @@ CASES = {
         "--papers-dist", "nbinomial", "--papers-dispersion", "0.5", "--agents", "40",
         "--runs", "7", "--periods", "6", "--seed", "112", "--per-run",
     ],
+    # teams of 8 under the re-credit and the self-citation check: both loop
+    # over 8 author columns
+    "wide_teams": [
+        *SMALL, "--scenario", "boost", "--coauthors", "8", "--update-alpha", "--self-citations",
+        "--seed", "113",
+    ],
     "config_file": ["--per-run"],
 }
 
@@ -136,6 +142,11 @@ GOLDEN = {
         "6b5a7233d6301cc178bdb42eae9c13513e7e856bac2b577a869add97af36a9b3",
         "21fc0bb17661c9a327f97a6a28f31520d165dd73c694e84301792472a5b02896",
         "77bf0728e460b53d84188639c02a305027ce7d7932658f9a98c5e3bc141207b0",
+    ),
+    "wide_teams": (
+        "d84761a6ea0c70cf18d132e6530a9a839dd2b52e1f70b3eb80822159fe27cb69",
+        "19b01b59e9de6108b3e52f3cd8580440169f77db114b9ca20b800c536cc40f95",
+        "11b737cf5aaf6080972e2823f97999aa2fb4d4d65368cccded118f3feec2f95d",
     ),
     "zero_teams": (
         "a3e2b46f72a5c14f96c23b4e425141a9650020f8cba6c1d7e431a80c49d5cc80",
