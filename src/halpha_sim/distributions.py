@@ -65,6 +65,12 @@ def draw_counts(
     which gives E[X] = mean and Var[X] = mean + mean**2 / dispersion; the
     dispersion must be at least DISPERSION_MIN.
     """
+    return _sample_counts(kind, _checked_means(kind, means, dispersion), rng, dispersion, size)
+
+
+def _checked_means(kind, means, dispersion) -> np.ndarray:
+    """``means`` as a float array, once it and ``kind`` and ``dispersion`` pass
+    the checks of ``draw_counts``."""
     means = np.asarray(means, dtype=float)
     # min and max propagate NaN, so a NaN mean fails the first test
     if not (0 <= means.min(initial=0) and means.max(initial=0) < math.inf):
@@ -73,7 +79,7 @@ def draw_counts(
         _check("kind", kind, _KIND)
         _check("dispersion", dispersion, _DISPERSION)
         _check("dispersion", dispersion, _NB_DISPERSION)
-    return _sample_counts(kind, means, rng, dispersion, size)
+    return means
 
 
 def _sample_counts(kind, means, rng, dispersion=None, size=None) -> np.ndarray:

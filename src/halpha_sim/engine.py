@@ -13,13 +13,13 @@ cross-check this implementation in the test suite.
 Determinism: run ``i`` draws from a generator seeded with
 (master_seed, spawn_key=i), so results are independent of execution order
 and of how many runs share the experiment. A state holds a batch of runs
-stacked as one table (see ``SimulationState``), and each run keeps its own
-generator in ``state.rngs``: the layers loop over the runs only for the calls
-that draw from one, and make those calls in each run's own order. Every other
-step is one vector operation over the batch. After ``init_state`` the draws
-depend only on the config and the generator, never on h, so a second thread
-can make a run's draws ahead of the layers, in the same order and with the
-same results: a ``_DrawThread`` then stands in for the run's generator.
+stacked as one table (see ``SimulationState``). After ``init_state`` a run's
+draws depend only on the config and its generator, never on h, so each run
+gets one plan of them (``_Draws``), which the layers take every draw from, in
+the order they list it: they loop over the runs only for those takes, and
+every other step is one vector operation over the batch. A ``_DrawThread``
+makes a plan's draws on a second thread, ahead of the layers, in the same
+order and with the same results.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .distributions import (
     _NB_DISPERSION,
     CountKind,
     _check,
+    _checked_means,
     _is_real,
     _sample_counts,
     draw_counts,
@@ -278,7 +279,7 @@ class SimulationState:
     It is int32, to halve its memory, and what numpy gathers through is cast
     to intp first, since a gather through an int32 index is about 3x slower:
     the authors of the team papers, and column 0 alone of the back catalog;
-    and the ages ``cite_papers`` and ``_citation_draw`` take from ``published_period``.
+    and the ages ``_citation_draw`` takes from ``published_period``.
     ``agent_papers[i, :agent_paper_counts[i]]`` lists agent row i's paper ids, and
     its empty slots hold the id ``capacity`` of a sentinel paper: entry
     ``capacity`` of ``citations`` is -1 and of ``alpha_author`` is
@@ -295,14 +296,14 @@ class SimulationState:
     ``citations`` and ``alpha_author`` through a contiguous index array about
     twice as fast. Indexing is the same in either order.
 
-    ``rngs`` holds each run's generator, which the layers draw the
+    ``draws`` holds each run's plan (``_Draws``), which the layers take the
     collaborator choice, the team shuffle and the citation counts from.
-    ``_run_block`` may put a ``_DrawThread``, which draws the same numbers
-    ahead of the layers, in the place of a lone run's generator.
+    ``_run_block`` may put a ``_DrawThread``, which makes the same draws
+    ahead of the layers, in the place of a lone run's plan.
     """
 
     period: int
-    rngs: list[np.random.Generator | _DrawThread]
+    draws: list[_Draws | _DrawThread]
     n_agents: int  # agent rows: runs x agents per run
     n_papers: int  # columns in use in each run's segment
     back_width: int  # columns of a segment before its first scheduled paper
@@ -316,12 +317,12 @@ class SimulationState:
     agent_paper_counts: np.ndarray
     current_h: np.ndarray
     current_h_alpha: np.ndarray
-    citation_means: np.ndarray  # expected citations indexed by age; read-only
+    citation_means: np.ndarray  # expected citations indexed by age, for the plans; read-only
     diligence_z: np.ndarray | None = None  # rank-normal scores of each run's initial h
 
     def segments(self, array: np.ndarray) -> np.ndarray:
         """A paper array without its sentinel, one row per run's segment."""
-        runs = len(self.rngs)
+        runs = self.first_paper.size
         return array[: self.published_period.size].reshape(runs, -1, *array.shape[1:])
 
 
@@ -383,7 +384,8 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
     makes the rest of its draws from its own generator, in the order it
     would alone, and one index pass raises every agent's h from 0 to its
     initial h. When ``_diligent``, ``diligence_z`` holds that h's rank-normal
-    scores within each run.
+    scores within each run. Last, each run's generator goes into its plan
+    (``_Draws``) with its segment of the schedule from its first paper on.
     """
     n, periods, teams = config.n_agents, config.periods, _teams_per_period(config)
     drawn, width = [], 0  # each run's generator, paper counts and their sum; the widest table
@@ -413,7 +415,7 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
 
     state = SimulationState(
         period=0,
-        rngs=[rng for rng, _, _ in drawn],
+        draws=[],
         n_agents=runs * n,
         n_papers=back,
         back_width=back,
@@ -459,8 +461,10 @@ def init_state(config: SimulationConfig, run_index: int, stop: int | None = None
     if _diligent(config):  # ranks of the initial h within each run
         state.diligence_z = np.concatenate(
             [rank_normal_scores(h) for h in state.current_h.reshape(runs, n)])
-    state.published_period.flags.writeable = False  # both read by the draw thread
+    state.published_period.flags.writeable = False  # both read by the plans, on a draw thread too
     state.citation_means.flags.writeable = False
+    state.draws = [_Draws(config, rng, row[back - total :], total, means)
+                   for row, (rng, _, total) in zip(state.segments(state.published_period), drawn)]
     return state
 
 
@@ -477,13 +481,13 @@ def select_collaborators(state: SimulationState, config: SimulationConfig) -> np
     count = _collaborator_count(config)
     if count <= 0:
         return np.empty(0, dtype=np.int64)
-    n, runs = config.n_agents, len(state.rngs)
+    n, runs = config.n_agents, len(state.draws)
     first_row = np.arange(0, runs * n, n)[:, None]
     if not _diligent(config):
-        chosen = np.stack([rng.choice(n, size=count, replace=False) for rng in state.rngs])
+        chosen = np.stack([draws.take("collaborators", count) for draws in state.draws])
         return (chosen + first_row).ravel()
     rho = config.diligence_correlation
-    eps = np.stack([rng.standard_normal(n) for rng in state.rngs])
+    eps = np.stack([draws.take("noise", n) for draws in state.draws])
     scores = rho * state.diligence_z.reshape(runs, n) + math.sqrt(1.0 - rho * rho) * eps
     return (np.argsort(-scores, axis=1, kind="stable")[:, :count] + first_row).ravel()
 
@@ -499,20 +503,22 @@ def form_teams(
     one of the top-h collaborators (ties to the smaller id) and deals the
     shuffled rest into the open slots.
     """
-    runs = len(state.rngs)
+    runs = len(state.draws)
     ids = np.asarray(collaborators, dtype=np.int64).reshape(runs, -1)
     m = ids.shape[1]
     co = _team_width(config)
     k = -(-m // co)
     if not config.strategic:
         padded = np.full((runs, k * co), -1, dtype=np.int64)
-        padded[:, :m] = [rng.permutation(row) for rng, row in zip(state.rngs, ids)]
+        padded[:, :m] = [row[draws.take("shuffled", row.size)]
+                         for draws, row in zip(state.draws, ids)]
         return padded.reshape(runs * k, co)
     # higher h first, then the smaller id, as in _credited_authors; keys are unique in a row
     key = state.current_h[ids].astype(np.int64) * (state.current_h.size + 1) - ids
     ranked = np.take_along_axis(ids, np.argsort(-key, axis=1), axis=1)
     fill = np.full((runs, k * (co - 1)), -1, dtype=np.int64)
-    fill[:, : m - k] = [rng.permutation(row) for rng, row in zip(state.rngs, ranked[:, k:])]
+    fill[:, : m - k] = [row[draws.take("shuffled", row.size)]
+                        for draws, row in zip(state.draws, ranked[:, k:])]
     return np.concatenate([ranked[:, :k].reshape(-1, 1), fill.reshape(runs * k, co - 1)], axis=1)
 
 
@@ -522,7 +528,7 @@ def publish(teams: np.ndarray, state: SimulationState, config: SimulationConfig)
     gives them. They are the papers ``published_period`` holds for
     ``state.period``: call it once per period, after advancing ``state.period``,
     as ``step_period`` does."""
-    runs = len(state.rngs)
+    runs = len(state.draws)
     k = teams.shape[0] // runs
     segment = state.published_period.size // runs
     ids = (np.arange(runs)[:, None] * segment + state.n_papers + np.arange(k)).ravel()
@@ -546,9 +552,9 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     round(boost_anchor * boost_size) additional citations once, in its first
     citation period; papers from before the simulation never see it.
 
-    The live papers, a prefix of each run's schedule (``_cited``), are
-    drawn run by run in ``_CHUNK``-paper chunks as in one draw, so the chunk
-    size changes no number. Everything else is done over the whole batch.
+    Each run takes the counts of its live papers, a prefix of its schedule
+    (``_cited``), from its plan in ``_CHUNK``-paper chunks. Everything else is
+    done over the whole batch.
     The self-citation check reads every author column of the team papers but
     only column 0 of the back catalog, which holds a back-catalog paper's one
     author. It takes the team papers one author column at a time and ORs the
@@ -556,19 +562,13 @@ def cite_papers(state: SimulationState, config: SimulationConfig) -> None:
     is one vector operation over every team paper, since numpy reduces a
     gather of every author slowly along its short author axis.
     """
-    born, teams = state.segments(state.published_period), _teams_per_period(config)
+    teams = _teams_per_period(config)
     b = min(state.n_papers, _cited(state.back_width, teams, state.period))
-    born = born[:, :b]
-    gained = np.zeros(born.shape, dtype=np.int64)
-    for rng, column, row, out in zip(state.rngs, state.first_paper, born, gained):
+    gained = np.zeros((len(state.draws), b), dtype=np.int64)
+    for draws, column, out in zip(state.draws, state.first_paper, gained):
         for start in range(column, b, _CHUNK):
-            chunk = row[start : start + _CHUNK]
-            out[start : start + chunk.size] = draw_counts(
-                config.citation_kind,
-                state.citation_means[(state.period - chunk).astype(np.intp)],  # see SimulationState
-                rng,
-                config.citation_dispersion,
-            )
+            stop = min(start + _CHUNK, b)
+            out[start:stop] = draws.take("citations", stop - start)
 
     citations = state.segments(state.citations)[:, :b]
     if config.self_citation:
@@ -709,8 +709,12 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
     """Advance one period: select, team up, publish, cite, then one index pass
     that raises h, re-credits every paper under ``dynamic_alpha`` and counts h-alpha.
 
-    The metrics hold the batch's agent rows and teams, run after run.
+    The metrics hold the batch's agent rows and teams, run after run. A state
+    at its last period is a ValueError, raised before anything changes.
     """
+    if state.period >= config.periods:
+        raise ValueError(f"the state is at period {state.period}, and the last scheduled "
+                         f"period is {config.periods}")
     state.period += 1
     collaborators = select_collaborators(state, config)
     teams = form_teams(collaborators, config, state)
@@ -726,45 +730,95 @@ def step_period(state: SimulationState, config: SimulationConfig) -> PeriodMetri
     )
 
 
-class _DrawThread:
-    """A run's draws, made on a second thread about one period ahead of the layers.
+def _due(listed: tuple | None, kind: str, size: int):
+    """The draw of ``listed``, a plan's next (kind, size, draw) or None after
+    its last, if it is of the ``kind`` and ``size`` a layer asks for; else a
+    RuntimeError."""
+    got, got_size, draw = listed or ("nothing", 0, None)
+    if got != kind or got_size != size:
+        raise RuntimeError(
+            f"the next draw is {got} of size {got_size}, where {kind} of size {size} was due"
+        )
+    return draw
 
-    Built right after ``init_state``, from what the draws of a batch of one
-    read: the run's generator, ``back_width`` and the read-only
-    ``published_period`` and ``citation_means``. It keeps no reference to the
-    state, so ``_run_block`` can put it in ``state.rngs`` in the generator's
-    place and the state is still freed when the run ends, not when the cyclic
-    garbage collector happens to run. Entered around the periods of the run,
-    it starts a one-worker executor; on exit it shuts that down, which cancels
-    the draws not yet started and joins the thread. It answers the five
-    generator calls the layers and ``draw_counts`` make (``choice``,
-    ``standard_normal``, ``permutation``, ``poisson`` and
-    ``negative_binomial``) with the result of the next draw it submitted.
-    ``_draw`` lists those draws on the calling thread, in the
-    order the layers ask for them, and the worker makes them from the run's
-    generator in that order, so every number is the same: a team shuffle is
-    ``ids[rng.permutation(ids.size)]``, which equals ``rng.permutation(ids)``
-    for 1-D ``ids``, and the citation counts come in the chunks of ``_CHUNK``
-    live papers that ``cite_papers`` asks for, the prefix ``_cited`` gives.
-    Each chunk's ages come from the schedule, as ``cite_papers`` works them
-    out. The schedule and ``citation_means`` are read-only, and a draw reads
-    no other array. An exception in a draw is
-    raised again in the layer that takes it, and a draw of another kind or size
-    than the layer asks for is a RuntimeError. About one period's draws are
-    submitted at the start and one more at each take, which bounds how far
-    ahead the worker gets.
 
-    The worker calls no layer function, only the generator and
-    ``_sample_counts``, so the checks in ``draw_counts`` stay on the calling
-    thread, inside the layer.
+class _Draws:
+    """A run's plan: its draws after ``init_state``, each defined once, in ``_listed``.
+
+    ``init_state`` builds one per run, from the run's generator, its segment
+    of the schedule from its first paper on, its back-catalog size and
+    ``citation_means``, and it keeps no reference to the state. ``take(kind,
+    size)`` makes the next draw once ``_due`` has checked it, so a layer
+    called out of ``step_period``'s order is a RuntimeError. ``listing``
+    lists the plan anew, for a ``_DrawThread``.
     """
 
-    def __init__(self, state: SimulationState, config: SimulationConfig) -> None:
-        count, teams = _collaborator_count(config), _teams_per_period(config)
-        back = state.back_width
-        self._draws = self._draw(config, state.rngs[0], state.citation_means,
-                                 state.published_period, back, count, teams)
-        self._ahead = 2 + -(-_cited(back, teams, config.periods) // _CHUNK)
+    def __init__(self, config, rng, schedule, back, citation_means) -> None:
+        self.listing = partial(_listed, config, rng, schedule, back, citation_means)
+        self._listed = self.listing(on_thread=False)
+
+    def take(self, kind: str, size: int) -> np.ndarray:
+        return _due(next(self._listed, None), kind, size)()
+
+
+def _listed(config, rng, schedule, back, citation_means, on_thread: bool):
+    """Every draw of periods 1..periods, in the order the layers take them, as
+    (kind, size, draw): ``draw()`` makes it from the generator ``rng``. A
+    team shuffle is a permutation that ``form_teams`` applies to its row; the
+    citation counts come in the ``_CHUNK``-paper chunks of the prefix of the
+    schedule that ``_cited`` gives, as ``cite_papers`` asks for them."""
+    n, count, teams = config.n_agents, _collaborator_count(config), _teams_per_period(config)
+    shuffled = count - teams if config.strategic else count
+    for period in range(1, config.periods + 1):
+        if count > 0:
+            if not _diligent(config):
+                yield "collaborators", count, partial(rng.choice, n, size=count, replace=False)
+            else:
+                yield "noise", n, partial(rng.standard_normal, n)
+        yield "shuffled", shuffled, partial(rng.permutation, shuffled)
+        cited = schedule[: _cited(back, teams, period)]
+        for start in range(0, cited.size, _CHUNK):
+            born = cited[start : start + _CHUNK]
+            yield "citations", born.size, partial(
+                _citation_draw, config, citation_means, rng, period, born, on_thread
+            )
+
+
+def _citation_draw(config, citation_means, rng, period, born, on_thread: bool) -> np.ndarray:
+    """The counts of the live papers published in ``born`` for ``period``.
+    Inline, ``draw_counts`` draws them, inside ``cite_papers``. The draw thread
+    runs the same checks and calls no layer function, then keeps the counts,
+    checked, in the narrowest type that holds them until the layers take them."""
+    means = citation_means[(period - born).astype(np.intp)]  # see SimulationState
+    kind, dispersion = config.citation_kind, config.citation_dispersion
+    if not on_thread:
+        return draw_counts(kind, means, rng, dispersion)
+    counts = _checked_counts(
+        _sample_counts(kind, _checked_means(kind, means, dispersion), rng, dispersion))
+    return counts.astype(np.min_scalar_type(counts.max()))
+
+
+class _DrawThread:
+    """A lone run's plan, its draws made on a second thread about one period
+    ahead of the layers.
+
+    Built in ``_run_block`` from the run's unstarted plan and ``last``, the
+    papers its last period cites, it keeps no reference to the state either,
+    so the state is still freed when the run ends, not when the cyclic garbage
+    collector happens to run. Entered around the periods of the run, it
+    starts a one-worker executor; on exit it shuts that down, which cancels
+    the draws not yet started and joins the thread. The plan is listed on the
+    calling thread, and the worker makes its draws in that order, so every
+    number is the same; ``take`` checks the next one as the plan does and
+    returns it, or raises its exception. About one period's draws are
+    submitted at the start and one more at each take, which bounds how far
+    ahead the worker gets. The worker reads no array but the read-only
+    schedule and ``citation_means``.
+    """
+
+    def __init__(self, draws: _Draws, last: int) -> None:
+        self._listed = draws.listing(on_thread=True)
+        self._ahead = 2 + -(-last // _CHUNK)
 
     def __enter__(self) -> _DrawThread:
         # here: importing the package, and a run that draws inline, need no thread pool
@@ -772,69 +826,16 @@ class _DrawThread:
 
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="halpha-draws")
         submit = self._pool.submit
-        self._submitted = ((kind, size, submit(draw)) for kind, size, draw in self._draws)
+        self._submitted = ((kind, size, submit(draw)) for kind, size, draw in self._listed)
         self._pending = deque(islice(self._submitted, self._ahead))
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
 
-    @staticmethod
-    def _draw(config, rng, citation_means, schedule, back, count, teams):
-        """Every draw of periods 1..periods, in the order the layers take them,
-        as (kind, size, draw): ``draw()`` makes it from the generator."""
-        n = config.n_agents
-        shuffled = count - teams if config.strategic else count
-        for period in range(1, config.periods + 1):
-            if count > 0:
-                if not _diligent(config):
-                    yield "collaborators", count, partial(rng.choice, n, size=count, replace=False)
-                else:
-                    yield "noise", n, partial(rng.standard_normal, n)
-            yield "shuffled", shuffled, partial(rng.permutation, shuffled)
-            cited = schedule[: _cited(back, teams, period)]
-            for start in range(0, cited.size, _CHUNK):
-                chunk = cited[start : start + _CHUNK]
-                yield "citations", chunk.size, partial(
-                    _citation_draw, config, citation_means, rng, period, chunk
-                )
-
-    def _take(self, kind: str, size: int) -> np.ndarray:
+    def take(self, kind: str, size: int) -> np.ndarray:
         self._pending.extend(islice(self._submitted, 1))
-        got, got_size, future = self._pending.popleft() if self._pending else ("nothing", 0, None)
-        if got != kind or got_size != size:
-            raise RuntimeError(
-                f"the draw thread sent {got} of size {got_size} where {kind} of size "
-                f"{size} was due"
-            )
-        return future.result()
-
-    # The generator calls of the layers and of draw_counts: each returns the
-    # next draw the thread made, checked against the kind and size asked for.
-
-    def choice(self, a, size=None, replace=True) -> np.ndarray:
-        return self._take("collaborators", size)
-
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._take("noise", size)
-
-    def permutation(self, x) -> np.ndarray:
-        return x[self._take("shuffled", x.size)]
-
-    def poisson(self, lam, size=None) -> np.ndarray:
-        return self._take("citations", np.size(lam))
-
-    def negative_binomial(self, n, p, size=None) -> np.ndarray:
-        return self._take("citations", np.size(p))
-
-
-def _citation_draw(config, citation_means, rng, period, born) -> np.ndarray:
-    """The counts of the live papers published in ``born`` for ``period``, in
-    the narrowest type that holds them: a period's counts wait for the layers."""
-    means = citation_means[(period - born).astype(np.intp)]  # see SimulationState
-    counts = _checked_counts(_sample_counts(config.citation_kind, means, rng,
-                                            config.citation_dispersion))
-    return counts.astype(np.min_scalar_type(counts.max()))
+        return _due(self._pending.popleft() if self._pending else None, kind, size).result()
 
 
 def _run_block(config: SimulationConfig, columns: list[np.ndarray], first: int,
@@ -846,21 +847,21 @@ def _run_block(config: SimulationConfig, columns: list[np.ndarray], first: int,
     stays within ``_BATCH_CELLS`` cells. A batch of one run whose last period
     cites at least ``_CHUNK`` papers makes its draws on a ``_DrawThread`` when
     the process has more than one usable core (see ``run_experiment``), which
-    stands in for its generator in ``state.rngs`` for the periods of the run.
+    takes its plan's place in ``state.draws`` for the periods of the run.
     """
     n = config.n_agents
     while first < stop:
         state = init_state(config, first, stop)
-        runs = len(state.rngs)
+        runs = len(state.draws)
         h, h_alpha, paper_counts, teams = (column[first : first + runs] for column in columns)
         first_row = np.arange(0, runs * n, n)[:, None, None]
         h[:, 0], h_alpha[:, 0], paper_counts[:, 0] = (a.reshape(runs, n) for a in (
             state.current_h, state.current_h_alpha, state.agent_paper_counts))
         last = _cited(state.back_width, _teams_per_period(config), config.periods)
         threaded = runs == 1 and last >= _CHUNK and _usable_cores() > 1
-        with (_DrawThread(state, config) if threaded
-              else contextlib.nullcontext(state.rngs[0])) as draws:
-            state.rngs[0] = draws
+        with (_DrawThread(state.draws[0], last) if threaded
+              else contextlib.nullcontext(state.draws[0])) as draws:
+            state.draws[0] = draws
             for t in range(1, config.periods + 1):
                 pm = step_period(state, config)
                 h[:, t], h_alpha[:, t], paper_counts[:, t] = (

@@ -269,6 +269,28 @@ def test_a_count_past_int32_in_a_worker_is_a_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_table_past_the_limit_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # init_state's paper-count draw gives the one run a back catalog of 2**31
+    # papers: 2**31 + 35 with 5 periods of 7 teams
+    real, calls = engine.draw_counts, []
+
+    def draw(kind, means, rng, dispersion=None, size=None):
+        calls.append(size)
+        counts = real(kind, means, rng, dispersion, size)
+        if len(calls) == 1:
+            counts[:] = 2**31 // size
+            counts[0] += 2**31 % size
+        return counts
+
+    monkeypatch.setattr(engine, "draw_counts", draw)
+    out = tmp_path / "x.csv"
+    flags = ["--agents", "20", "--runs", "1", "--periods", "5", "--seed", "1", "--out", str(out)]
+    assert main(flags) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {2**31 + 35} papers exceed the table limit of {2**31 - 2}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _cores(monkeypatch, n):
     """Make this process see n usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -587,6 +609,21 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
     assert exc.value.code == 2
     assert f"config file {cfg_file}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, kind):
+    cfg_file = tmp_path / "params.json"
+    if kind == "directory":
+        cfg_file.mkdir()
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_file), "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"error: cannot read config file {cfg_file}: " in errors[0]
+    assert list(tmp_path.iterdir()) == ([cfg_file] if kind == "directory" else [])
 
 
 @pytest.mark.parametrize(

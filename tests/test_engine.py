@@ -4,6 +4,7 @@ The array-based engine is cross-checked against the record-by-record
 definitions in ``model`` on full simulated states.
 """
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -13,6 +14,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from datetime import timedelta
@@ -62,6 +64,31 @@ def make_config(**overrides) -> SimulationConfig:
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+class _AnyDraws:
+    """Stands in for a run's plan where a test calls a layer on its own, out of
+    step_period's order, which the plan refuses: makes whatever draw is asked
+    for from its own generator, and no citations."""
+
+    def __init__(self, n_agents: int, seed: int) -> None:
+        self.n_agents, self.rng = n_agents, np.random.default_rng(seed)
+
+    def take(self, kind: str, size: int) -> np.ndarray:
+        if kind == "collaborators":
+            return self.rng.choice(self.n_agents, size=size, replace=False)
+        if kind == "noise":
+            return self.rng.standard_normal(size)
+        if kind == "shuffled":
+            return self.rng.permutation(size)
+        return np.zeros(size, dtype=np.int64)
+
+
+def any_draws(cfg: SimulationConfig) -> engine.SimulationState:
+    """init_state's run 0 of ``cfg``, an ``_AnyDraws`` in its plan's place."""
+    state = init_state(cfg, 0)
+    state.draws = [_AnyDraws(cfg.n_agents, cfg.master_seed)]
+    return state
 
 
 def quiet_config(**overrides) -> SimulationConfig:
@@ -309,7 +336,7 @@ def test_diligence_latent_score_correlation_band():
 
 def test_diligence_selection_favors_high_initial_h():
     cfg = scenario_config("diligence", master_seed=11)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     initial_h = state.current_h  # at period 0
     freq = np.zeros(cfg.n_agents)
     for _ in range(200):
@@ -328,7 +355,7 @@ def team_sizes(teams: np.ndarray) -> list[int]:
 
 def test_form_teams_chunks_with_remainder():
     cfg = make_config(n_agents=200)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     collaborators = np.arange(200)
     teams = form_teams(collaborators, cfg, state)
     assert teams.shape == (67, 3)
@@ -340,7 +367,7 @@ def test_form_teams_chunks_with_remainder():
 
 def test_form_teams_single_collaborator():
     cfg = make_config()
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     teams = form_teams(np.array([13]), cfg, state)
     assert teams.shape == (1, 3)
     assert team_sizes(teams) == [1]
@@ -349,7 +376,7 @@ def test_form_teams_single_collaborator():
 
 def test_strategic_teams_separate_top_agents():
     cfg = quiet_config(n_agents=6, coauthors_mean=3, strategic=True)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     state.current_h = np.array([9, 8, 7, 3, 2, 1])
     teams = form_teams(np.arange(6), cfg, state)
     assert teams.shape == (2, 3)
@@ -361,7 +388,7 @@ def test_strategic_teams_separate_top_agents():
 
 def test_strategic_solo_teams_when_coauthors_one():
     cfg = quiet_config(n_agents=4, coauthors_mean=1, strategic=True)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     teams = form_teams(np.arange(4), cfg, state)
     assert teams.shape == (4, 1)
     assert sorted(teams[:, 0].tolist()) == list(range(4))
@@ -391,7 +418,7 @@ def test_publish_breaks_h_ties_by_smaller_id():
 
 def test_publish_solo_team_and_one_paper_per_team():
     cfg = make_config(n_agents=200)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     before = state.n_papers
     teams = form_teams(np.arange(200), cfg, state)
     publish(teams, state, cfg)
@@ -438,7 +465,7 @@ def test_credited_authors_match_the_model_on_padded_rows(teams):
 
 def test_boost_pays_once_in_first_citation_period():
     cfg = quiet_config(boost_size=0.5)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     state.current_h = np.array([11, 3, 0, 0])
     state.period += 1  # publish in period 1, as step_period does
     publish(np.array([[0, 1]]), state, cfg)
@@ -462,7 +489,7 @@ def test_boost_zero_size_adds_nothing():
 
 def test_self_citation_window_of_one_or_two():
     cfg = quiet_config(self_citation=True)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     state.current_h = np.array([7, 9, 0, 0])
     state.period += 1  # publish in period 1, as step_period does
     publish(np.array([[0, -1], [1, -1]]), state, cfg)
@@ -476,7 +503,7 @@ def test_self_citation_window_of_one_or_two():
 
 def test_cite_papers_raises_instead_of_wrapping():
     cfg = quiet_config(boost_size=0.5)
-    state = init_state(cfg, 0)
+    state = any_draws(cfg)
     state.current_h = np.array([11, 3, 0, 0], dtype=np.int32)
     state.period += 1  # publish in period 1, as step_period does
     publish(np.array([[0, 1]]), state, cfg)
@@ -499,6 +526,32 @@ def test_init_state_raises_instead_of_wrapping(monkeypatch):
     monkeypatch.setattr(engine, "draw_counts", draw)
     with pytest.raises(DataError, match="exceed"):
         init_state(make_config(), 0)
+
+
+def test_init_state_refuses_a_table_past_the_limit_before_allocating_it(monkeypatch):
+    # the first draw, the paper counts, gives a back catalog of 2**31 papers;
+    # with 5 periods of 7 teams the table takes gigabytes, and it is refused
+    # while numpy has allocated less than a MiB
+    real, calls = engine.draw_counts, []
+
+    def draw(kind, means, rng, dispersion=None, size=None):
+        calls.append(size)
+        counts = real(kind, means, rng, dispersion, size)
+        if len(calls) == 1:
+            counts[:] = 2**31 // size
+            counts[0] += 2**31 % size
+        return counts
+
+    monkeypatch.setattr(engine, "draw_counts", draw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"^{2**31 + 35} papers exceed the table limit of "
+                                            f"{COUNT_MAX - 1}$"):
+            init_state(make_config(runs=1), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_counts_at_the_citation_limit_stay_exact():
@@ -783,7 +836,8 @@ def test_used_paper_block_is_contiguous_and_layout_free():
     for _ in range(8):
         step_period(state, cfg)
         assert used(state).flags.f_contiguous
-    row_major = copy.deepcopy(state)
+    # a started plan cannot be copied, and the index pass takes no draw
+    row_major = copy.deepcopy(dataclasses.replace(state, draws=[]))
     row_major.agent_papers = np.ascontiguousarray(state.agent_papers)
     assert not used(row_major).flags.f_contiguous and not used(row_major).flags.c_contiguous
     for s in (state, row_major):
@@ -1024,7 +1078,7 @@ def batches(monkeypatch):
 
     def recording(config, run_index, stop=None):
         state = build(config, run_index, stop)
-        runs = range(run_index, run_index + len(state.rngs))
+        runs = range(run_index, run_index + len(state.draws))
         widths.append([build(config, i).agent_papers.shape[1] for i in runs])
         return state
 
@@ -1102,7 +1156,7 @@ def test_a_batch_is_built_as_its_runs_are_alone():
                       **UNEVEN)
     batch, n = init_state(cfg, 0, cfg.runs), cfg.n_agents
     alone = [init_state(cfg, i) for i in range(cfg.runs)]
-    assert len(batch.rngs) == cfg.runs
+    assert len(batch.draws) == cfg.runs
     assert len({s.n_papers for s in alone}) > 1
     segment = batch.published_period.size // cfg.runs
     for r, state in enumerate(alone):
@@ -1129,13 +1183,34 @@ def test_a_batch_is_built_as_its_runs_are_alone():
     assert (batch.first_paper > 0).any()
 
 
+@pytest.mark.parametrize("runs", [1, 3], ids=["lone", "padded_batch"])
+def test_a_step_past_the_last_period_is_refused_before_it_changes_the_state(runs):
+    # one team a period: a step past the schedule would publish into the
+    # sentinel, or into the next run's segment, before it failed
+    cfg = make_config(runs=runs, master_seed=79, **{**UNEVEN, "coauthors_mean": 30})
+    state = init_state(cfg, 0, cfg.runs)
+    assert len(state.draws) == runs and (state.first_paper > 0).any() == (runs > 1)
+    for _ in range(cfg.periods):
+        step_period(state, cfg)
+    arrays = ("citations", "published_period", "alpha_author", "boost_anchor", "authors",
+              "agent_papers", "agent_paper_counts", "current_h", "current_h_alpha")
+    before = {name: getattr(state, name).copy() for name in arrays}
+    n_papers = state.n_papers
+    with pytest.raises(ValueError, match=f"last scheduled period is {cfg.periods}$"):
+        step_period(state, cfg)
+    assert (state.period, state.n_papers) == (cfg.periods, n_papers)
+    for name, array in before.items():
+        assert np.array_equal(getattr(state, name), array), name
+    assert (state.citations[-1], state.alpha_author[-1]) == (-1, EXTERNAL_AUTHOR)  # the sentinel
+
+
 def _gains_match_the_model(monkeypatch, cfg):
     """Every draw zero, so a period's gain is the model's self-citation plus
     its boost, paper by paper, over a padded batch; leads of 0 to 5 are forced
     where they fit, on back-catalog papers and on team papers if there are
     any. Returns the state after period 3 and the gain of each cited paper."""
     state = init_state(cfg, 0, cfg.runs)
-    assert len(state.rngs) == cfg.runs and (state.first_paper > 0).any()
+    assert len(state.draws) == cfg.runs and (state.first_paper > 0).any()
     for _ in range(2):
         step_period(state, cfg)
     monkeypatch.setattr(engine, "draw_counts", lambda kind, means, *args, **kwargs: np.zeros(
@@ -1250,8 +1325,9 @@ def test_runs_in_this_process_on_two_cores_draw_on_a_thread_that_is_joined(
 
 
 def test_a_threaded_run_leaves_its_state_to_no_cycle(monkeypatch, draw_threads):
-    # the draw thread stands in state.rngs but holds no reference to the
-    # state: no cycle forms, and the state dies with the run, with no collection
+    # the draw thread takes the plan's place in state.draws and, like the
+    # plan, holds no reference to the state: no cycle forms, and the state
+    # dies with the run, with no collection
     states, real = [], engine.init_state
 
     def recording(*args):
@@ -1295,10 +1371,11 @@ def test_the_draw_thread_is_joined_when_the_run_fails(monkeypatch, draw_threads)
 def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
     # a tracer wraps the layer functions and keeps one stack of open calls per
     # thread: every layer call stays on the calling thread, and cite_papers
-    # gives every live paper its count through draw_counts on both paths
+    # takes every live paper's count from the plan on both paths; inline, the
+    # plan draws them through draw_counts, inside cite_papers
     layers = ("step_period", "select_collaborators", "form_teams", "publish", "cite_papers",
               "draw_counts", "_recompute_indices", "_reassign_alpha_authors")
-    calls, open_calls = [], []
+    calls, open_calls, takes = [], [], []
 
     def recording(name, fn):
         def wrapped(*args, **kwargs):
@@ -1313,8 +1390,18 @@ def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
 
         return wrapped
 
+    def taking(take):
+        def wrapped(self, kind, size):
+            if kind == "citations":
+                takes.append((open_calls[-1] if open_calls else None, size))
+            return take(self, kind, size)
+
+        return wrapped
+
     for name in layers:
         monkeypatch.setattr(engine, name, recording(name, getattr(engine, name)))
+    for plan in (engine._Draws, engine._DrawThread):
+        monkeypatch.setattr(plan, "take", taking(plan.take))
     monkeypatch.setattr(engine, "_CHUNK", 7)
     cfg = make_config(runs=1, periods=6, dynamic_alpha=True, self_citation=True,
                       citation_kind=CountKind.NBINOMIAL, citation_dispersion=2.0)
@@ -1322,24 +1409,28 @@ def test_the_draw_thread_calls_no_layer_function(monkeypatch, draw_threads):
     def drawn(cores):
         _cores(monkeypatch, cores)
         calls.clear()
+        takes.clear()
         results = run_experiment(cfg)
         assert {thread for _, thread, _, _ in calls} == {"MainThread"}
-        cited = [n for name, _, caller, n in calls
-                 if name == "draw_counts" and caller == "cite_papers"]
-        return _flatten(results), sum(cited), len(cited)
+        assert {caller for caller, _ in takes} == {"cite_papers"}
+        traced = sum(n for name, _, caller, n in calls
+                     if name == "draw_counts" and caller == "cite_papers")
+        return _flatten(results), sum(size for _, size in takes), len(takes), traced
 
-    (one, live_one, calls_one), (two, live_two, calls_two) = drawn(1), drawn(2)
+    (one, live_one, takes_one, traced_one), (two, live_two, takes_two, traced_two) = (
+        drawn(1), drawn(2))
     assert len(draw_threads) == 1
     assert np.array_equal(one, two)
     assert live_two == live_one > 0
-    assert calls_two == calls_one > cfg.periods  # in chunks of 7 papers on both paths
+    assert takes_two == takes_one > cfg.periods  # in chunks of 7 papers on both paths
+    assert (traced_one, traced_two) == (live_one, 0)  # the thread's draws call no draw_counts
 
 
 def test_the_draw_thread_stays_about_one_period_ahead(monkeypatch, draw_threads):
     # the counts the thread has drawn and the layers not yet taken are held in
     # memory: at each take they are at most one period's chunks and two more
     made, takes, gaps = [], [], []
-    sample, draw, cite, index_pass = (engine._sample_counts, engine.draw_counts,
+    sample, take, cite, index_pass = (engine._sample_counts, engine._DrawThread.take,
                                       engine.cite_papers, engine._recompute_indices)
 
     def sampling(*args, **kwargs):
@@ -1351,19 +1442,20 @@ def test_the_draw_thread_stays_about_one_period_ahead(monkeypatch, draw_threads)
         takes.append(0)
         cite(state, config)
 
-    def drawing(*args, **kwargs):
-        if takes:  # from cite_papers: init_state's draws come before its first call
+    def taking(self, kind, size):
+        if kind == "citations":
             takes[-1] += 1
             gaps.append(len(made) - sum(takes))
-        return draw(*args, **kwargs)
+        return take(self, kind, size)
 
     def slow_pass(state, recredit=False):  # gives the thread time to draw ahead
         time.sleep(0.005)
         index_pass(state, recredit)
 
     for name, fn in [("_sample_counts", sampling), ("cite_papers", citing),
-                     ("draw_counts", drawing), ("_recompute_indices", slow_pass)]:
+                     ("_recompute_indices", slow_pass)]:
         monkeypatch.setattr(engine, name, fn)
+    monkeypatch.setattr(engine._DrawThread, "take", taking)
     monkeypatch.setattr(engine, "_CHUNK", 7)
     _cores(monkeypatch, 2)
     run_experiment(make_config(runs=1, periods=6))
@@ -1397,7 +1489,7 @@ def test_the_chunk_size_does_not_change_a_run(monkeypatch, draw_threads, cfg):
 
 @st.composite
 def _small_configs(draw) -> SimulationConfig:
-    """A small config that mixes the mechanisms whose draws _DrawThread._draw lists."""
+    """A small config that mixes the mechanisms whose draws engine._listed lists."""
     share = draw(st.sampled_from([0.1, 0.5, 1.0]))  # 0.1 of at most 4 agents forms no team
     overrides = dict(
         runs=draw(st.integers(1, 3)), n_agents=draw(st.integers(1, 12)),
@@ -1422,8 +1514,8 @@ def _small_configs(draw) -> SimulationConfig:
 @settings(max_examples=30, deadline=None)
 @given(cfg=_small_configs(), chunk=st.sampled_from([1, 2, 3, 7]))
 def test_runs_on_the_draw_thread_write_what_inline_runs_write(cfg, chunk):
-    # _DrawThread._draw restates the order in which the layers draw: for any mix
-    # of mechanisms, a run that draws on the thread writes the same columns
+    # the thread makes the plan's draws ahead of the layers: for any mix of
+    # mechanisms, a run that draws on the thread writes the same columns
     with pytest.MonkeyPatch.context() as mp:
         _cores(mp, 1)
         inline = run_experiment(cfg)
@@ -1446,24 +1538,48 @@ def test_runs_on_the_draw_thread_write_what_inline_runs_write(cfg, chunk):
         assert len(entered) == cfg.runs  # each run's last period cites a paper
 
 
+def _plan_of_run_0(cfg, threaded):
+    """init_state's run 0 of ``cfg``, and a context that puts a _DrawThread in
+    its plan's place, or keeps the plan, for the periods of the run."""
+    state = init_state(cfg, 0)
+    last = engine._cited(state.back_width, engine._teams_per_period(cfg), cfg.periods)
+    plan = state.draws[0]
+    return state, engine._DrawThread(plan, last) if threaded else contextlib.nullcontext(plan)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "thread"])
 @pytest.mark.parametrize("helper, due", [
-    ("_collaborator_count", "collaborators"),  # the thread draws one collaborator too many
-    # period 1 cites the back catalog alone; in period 2 the thread cites one paper too many
+    ("_collaborator_count", "collaborators"),  # the layer asks for one collaborator too many
+    # period 1 cites the back catalog alone; in period 2 the layer asks for one paper too many
     ("_teams_per_period", "citations"),
 ])
-def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper, due):
+def test_a_draw_the_layer_did_not_ask_for_is_a_runtime_error(monkeypatch, helper, due, threaded):
+    # the plan listed its draws with the right helper when period 1 started it
     cfg = make_config(runs=1, periods=3, collab_share=0.5)
-    state = init_state(cfg, 0)
+    state, plan = _plan_of_run_0(cfg, threaded)
     right = getattr(engine, helper)(cfg)
-    monkeypatch.setattr(engine, helper, lambda config: right + 1)
-    draws = engine._DrawThread(state, cfg)
-    monkeypatch.undo()
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"sent {due} of size .* was due"), draws:
-        state.rngs[0] = draws
-        for _ in range(cfg.periods):
+    with plan as draws:
+        state.draws[0] = draws
+        step_period(state, cfg)
+        monkeypatch.setattr(engine, helper, lambda config: right + 1)
+        with pytest.raises(RuntimeError, match=f"next draw is {due} of size .*, where {due} "
+                                               "of size .* was due"):
             step_period(state, cfg)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "thread"])
+def test_a_layer_called_out_of_order_is_a_runtime_error(monkeypatch, threaded):
+    # on one core as on the thread: the plan lists the collaborators first
+    _cores(monkeypatch, 1)
+    cfg = make_config(runs=1, periods=3)
+    state, plan = _plan_of_run_0(cfg, threaded)
+    with plan as draws:
+        state.draws[0] = draws
+        with pytest.raises(RuntimeError, match="next draw is collaborators of size 20, "
+                                               "where shuffled of size 20 was due"):
+            form_teams(np.arange(cfg.n_agents), cfg, state)
 
 
 def _last_cited(cfg) -> int:
